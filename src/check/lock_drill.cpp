@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <future>
 #include <optional>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/online.hpp"
 #include "faults/injector.hpp"
 #include "gemm/config.hpp"
@@ -48,9 +50,16 @@ void drive(serve::SelectionService& service,
         (void)service.select_batch(std::span(shapes.data() + begin, len));
         break;
       }
-      case 2:
-        (void)service.select_async(shape).get();
+      case 2: {
+        // select() posted to the global pool and waited on: keeps the
+        // pool -> service nesting in the observed graph.
+        std::packaged_task<gemm::KernelConfig()> task(
+            [&] { return service.select(shape); });
+        auto result = task.get_future();
+        common::ThreadPool::global().post([&task] { task(); });
+        (void)result.get();
         break;
+      }
       default:
         // stats() reconciles the shard-striped hit counters (serve.hit_sync
         // under the shard locks) — a distinct nesting worth observing.

@@ -8,11 +8,12 @@
 // service with fallback, persistent store over a temp journal, trace
 // session, a (zero-probability) fault plan so the injector's plan lock is
 // exercised — and drives it from several threads mixing select(),
-// select_batch(), select_async(), store flush/compaction and provisional
-// refresh. Because lockdep edges are a function of code paths, not
-// schedules, the resulting graph is deterministic; `akscheck locks` fails
-// when it contains a cycle or a lock held across a condition wait that the
-// ordering ranks in DESIGN.md do not sanction.
+// select_batch(), select() posted to the thread pool, store
+// flush/compaction and provisional refresh. Because lockdep edges are a
+// function of code paths, not schedules, the resulting graph is
+// deterministic; `akscheck locks` fails when it contains a cycle or a lock
+// held across a condition wait that the ordering ranks in DESIGN.md do not
+// sanction.
 #pragma once
 
 #include <cstddef>

@@ -50,7 +50,7 @@ class ThreadPool {
 
   /// Enqueues one fire-and-forget task and returns immediately; tasks run
   /// FIFO on the workers. The caller owns result/error delivery (e.g. via a
-  /// captured std::promise — see serve::SelectionService::select_async). A
+  /// captured std::packaged_task, as check::run_lock_drill does). A
   /// posted task may itself call parallel_for on this pool (the reentrancy
   /// guarantee covers it) and blocked parallel_for callers help-drain
   /// posted tasks, so posting from inside a task cannot deadlock the pool.

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/online.hpp"
 #include "core/selector.hpp"
@@ -29,12 +28,32 @@ std::size_t round_up_pow2(std::size_t n) {
 constexpr std::uint32_t kLatencySampleStride = 32;
 thread_local std::uint32_t tl_latency_tick = 0;
 
+[[noreturn]] void reject_shape(const gemm::GemmShape& s) {
+  AKS_FAIL("invalid GEMM shape " << s.to_string()
+                                 << ": a dimension is zero or an operand's "
+                                    "element count overflows size_t");
+}
+
+// The input contract of select() and select_batch(): every dimension is
+// positive and every operand's element count (m·k, k·n, m·n) fits in
+// std::size_t. A bad shape is refused here, before it can be cached,
+// counted, handed to the warm-up or blamed on a kernel. The message is
+// built out of line so this check inlines into the hot path.
+inline void check_shape(const gemm::GemmShape& s) {
+  std::size_t elements = 0;
+  if (s.m == 0 || s.k == 0 || s.n == 0 ||
+      __builtin_mul_overflow(s.m, s.k, &elements) ||
+      __builtin_mul_overflow(s.k, s.n, &elements) ||
+      __builtin_mul_overflow(s.m, s.n, &elements)) {
+    reject_shape(s);
+  }
+}
+
 }  // namespace
 
 SelectionService::SelectionService(WarmUpFn warm_up, ServiceOptions options)
     : warm_up_(std::move(warm_up)),
       fallback_(options.fallback),
-      async_pool_(options.async_pool),
       hits_(metrics_.counter("serve.hits")),
       misses_(metrics_.counter("serve.misses")),
       coalesced_waits_(metrics_.counter("serve.coalesced_waits")),
@@ -90,6 +109,7 @@ SelectionService::Shard& SelectionService::shard_for(
 }
 
 gemm::KernelConfig SelectionService::select(const gemm::GemmShape& shape) {
+  check_shape(shape);
   std::optional<common::ScopedLatency> latency;
   if ((tl_latency_tick++ & (kLatencySampleStride - 1)) == 0) {
     latency.emplace(select_latency_);
@@ -109,48 +129,21 @@ gemm::KernelConfig SelectionService::select(const gemm::GemmShape& shape) {
   bool leader = false;
   {
     aks::MutexLock lock(shard.m);
-    auto& slot = shard.map[shape];
-    if (!slot) {
-      slot = std::make_shared<Entry>();
-      leader = true;
-    }
-    entry = slot;
+    const Claim claimed = claim(shard, shape);
+    entry = claimed.slot;
+    leader = claimed.leader;
   }
-
-  if (leader) {
-    // Store-backed services consult the nearest-device prior before paying
-    // for a sweep; a hit publishes the entry (provisionally) sweep-free.
-    if (store_ != nullptr && try_transfer_prior(shape, entry)) {
-      span.annotate(trace::arg("outcome", "transfer_prior"));
-      return entry->config;
-    }
-    span.annotate(trace::arg("outcome", "miss"));
-    return run_warm_up(shape, shard, entry);
-  }
-
-  if (entry->ready.load(std::memory_order_acquire)) {
-    // Hot path: published entries are immutable, no entry lock needed, and
-    // the hit count goes to the shard's stripe, not a global line.
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    span.annotate(trace::arg("outcome", "hit"));
-  } else {
-    coalesced_waits_.add();
-    span.annotate(trace::arg("outcome", "coalesced_wait"));
-    aks::MutexLock lock(entry->m);
-    while (!entry->ready.load(std::memory_order_acquire)) {
-      entry->cv.wait(lock);
-    }
-  }
-  if (entry->error) std::rethrow_exception(entry->error);
-  if (entry->fallback) {
-    fallbacks_served_.add();
-    span.annotate(trace::arg("fallback", std::uint64_t{1}));
-  }
-  return entry->config;
+  const Answer got = leader ? lead(shape, shard, *entry, nullptr)
+                            : adopt(shard, *entry);
+  span.annotate(trace::arg("outcome", got.outcome));
+  if (got.fallback) span.annotate(trace::arg("fallback", std::uint64_t{1}));
+  if (got.error) std::rethrow_exception(got.error);
+  return got.config;
 }
 
 std::vector<gemm::KernelConfig> SelectionService::select_batch(
     std::span<const gemm::GemmShape> shapes) {
+  for (const gemm::GemmShape& shape : shapes) check_shape(shape);
   batch_requests_.add();
   const std::size_t n = shapes.size();
   batch_shapes_.add(n);
@@ -198,21 +191,13 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
   const std::size_t nu = uniq_first.size();
   span.annotate(trace::arg("dedup", n - nu));
 
-  // -- Per-unique resolution state.
-  enum : std::uint8_t { kPending, kDone, kForeign };
-  std::vector<std::uint8_t> ustate(nu, kPending);
-  std::vector<gemm::KernelConfig> uconfig(nu);
-  std::vector<std::shared_ptr<Entry>> uentry(nu);
-  std::vector<std::exception_ptr> uerror(nu);
-  // A unique whose answer came from a degraded path (fallback or error):
-  // its entry was dropped, so later occurrences must re-select — exactly
-  // what a sequential caller would do.
-  std::vector<std::uint8_t> udegraded(nu, 0);
-  std::vector<std::uint32_t> wave;  // uniques this batch must warm up
-
-  // -- Group uniques by shard and classify each group under one shard lock
-  // (a sequential caller would lock per request; the batch pays one lock
-  // per *shard touched*).
+  // -- Claim every unique, grouped by shard so each shard lock is taken once
+  // per batch (a sequential caller locks per request). A published entry is
+  // answered on the spot: it is immutable, so no refcount is taken and the
+  // group's hits are counted with one add. Cold uniques join this batch's
+  // miss wave; their leader entries are installed now, so concurrent
+  // callers coalesce onto the batch. Another caller's in-flight entry is
+  // adopted after the wave.
   std::vector<std::uint32_t> order(nu);
   for (std::size_t u = 0; u < nu; ++u) {
     order[u] = static_cast<std::uint32_t>(u);
@@ -222,8 +207,11 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
                      return (uniq_hash[a] & shard_mask_) <
                             (uniq_hash[b] & shard_mask_);
                    });
+  std::vector<std::shared_ptr<Entry>> uentry(nu);
+  std::vector<Answer> uanswer(nu);
+  std::vector<std::uint32_t> wave;     // uniques this batch leads
+  std::vector<std::uint32_t> foreign;  // another caller's in-flight warm-ups
   std::size_t shard_groups = 0;
-  std::uint64_t ready_fallbacks = 0;
   for (std::size_t g = 0; g < nu;) {
     const std::size_t shard_index = uniq_hash[order[g]] & shard_mask_;
     Shard& shard = *shards_[shard_index];
@@ -232,99 +220,43 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
     aks::MutexLock lock(shard.m);
     for (; g < nu && (uniq_hash[order[g]] & shard_mask_) == shard_index; ++g) {
       const std::uint32_t u = order[g];
-      auto& slot = shard.map[shapes[uniq_first[u]]];
-      if (!slot) {
-        slot = std::make_shared<Entry>();
-        uentry[u] = slot;
-        wave.push_back(u);
-        continue;  // this batch leads the warm-up (after the lock pass)
-      }
-      if (!slot->ready.load(std::memory_order_acquire)) {
-        uentry[u] = slot;  // another thread's in-flight warm-up
-        ustate[u] = kForeign;
+      const Claim claimed = claim(shard, shapes[uniq_first[u]]);
+      if (!claimed.leader &&
+          claimed.slot->ready.load(std::memory_order_acquire)) {
+        ++local_hits;
+        uanswer[u] = answer(*claimed.slot, "hit");
         continue;
       }
-      // Published entries are immutable: reading past the acquire on
-      // `ready` is safe without the entry lock, same as select()'s hot
-      // path. A ready entry carrying an error/fallback is the transient
-      // window before its leader drops it — a sequential select() would
-      // count the hit and adopt the published outcome, so the batch does.
-      ++local_hits;
-      ustate[u] = kDone;
-      if (slot->error) {
-        uerror[u] = slot->error;
-        udegraded[u] = 1;
-      } else {
-        uconfig[u] = slot->config;
-        if (slot->fallback) {
-          udegraded[u] = 1;
-          ++ready_fallbacks;
-        }
-      }
+      uentry[u] = claimed.slot;
+      (claimed.leader ? wave : foreign).push_back(u);
     }
     shard.hits.fetch_add(local_hits, std::memory_order_relaxed);
   }
-  if (ready_fallbacks > 0) fallbacks_served_.add(ready_fallbacks);
   span.annotate(trace::arg("shard_groups", shard_groups));
   span.annotate(trace::arg("miss_wave", wave.size()));
 
-  // -- Miss wave: warm every cold unique through the same single-flight
-  // entries select() uses, sequentially in first-occurrence input order
+  // -- Lead the miss wave sequentially in first-occurrence input order
   // (unique ids are assigned in that order, so sorting by id restores it
-  // across shard groups). Store write-behind records are deferred into one
-  // put_batch below. A failure degrades only its own shape; the wave always
-  // completes, so no entry is ever left unpublished.
+  // across shard groups), with the store write-behind deferred into one
+  // put_batch. A failure degrades only its own shape; the wave always
+  // completes, so no entry is ever left unpublished for its waiters.
   std::sort(wave.begin(), wave.end());
   batch_wave_shapes_.add(wave.size());
   std::vector<store::SelectionRecord> wave_records;
   for (const std::uint32_t u : wave) {
-    const gemm::GemmShape& shape = shapes[uniq_first[u]];
-    Shard& shard = *shards_[uniq_hash[u] & shard_mask_];
-    ustate[u] = kDone;
-    if (store_ != nullptr && try_transfer_prior(shape, uentry[u])) {
-      uconfig[u] = uentry[u]->config;
-      continue;
-    }
-    try {
-      uconfig[u] = run_warm_up(shape, shard, uentry[u],
-                               store_ != nullptr ? &wave_records : nullptr);
-      udegraded[u] = uentry[u]->fallback ? 1 : 0;
-    } catch (...) {
-      uerror[u] = std::current_exception();
-      udegraded[u] = 1;
-    }
+    uanswer[u] = lead(shapes[uniq_first[u]],
+                      *shards_[uniq_hash[u] & shard_mask_], *uentry[u],
+                      &wave_records);
   }
-  if (store_ != nullptr && !wave_records.empty()) {
+  if (!wave_records.empty()) {
     // One write-behind enqueue for the whole wave; its cost stays on the
     // cold-path ledger, same as the per-shape enqueue it replaces.
     common::Timer enqueue_timer;
     (void)store_->put_batch(std::move(wave_records));
     warmup_seconds_.add(enqueue_timer.elapsed_seconds());
   }
-
-  // -- Adopt foreign in-flight warm-ups (another thread leads; we wait,
-  // counted as coalesced, exactly like select() would).
-  for (std::size_t u = 0; u < nu; ++u) {
-    if (ustate[u] != kForeign) continue;
-    const std::shared_ptr<Entry>& entry = uentry[u];
-    coalesced_waits_.add();
-    {
-      aks::MutexLock lock(entry->m);
-      while (!entry->ready.load(std::memory_order_acquire)) {
-        entry->cv.wait(lock);
-      }
-    }
-    ustate[u] = kDone;
-    if (entry->error) {
-      uerror[u] = entry->error;
-      udegraded[u] = 1;
-    } else {
-      uconfig[u] = entry->config;
-      if (entry->fallback) {
-        fallbacks_served_.add();
-        udegraded[u] = 1;
-      }
-    }
+  for (const std::uint32_t u : foreign) {
+    uanswer[u] = adopt(*shards_[uniq_hash[u] & shard_mask_], *uentry[u]);
   }
 
   // -- Fan out to input order. Duplicates of a healthy unique are answered
@@ -337,57 +269,23 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
   std::uint64_t deduped = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t u = remap[i];
+    const Answer& got = uanswer[u];
     if (i == uniq_first[u]) {
-      if (uerror[u]) std::rethrow_exception(uerror[u]);
-      out[i] = uconfig[u];
-      continue;
-    }
-    if (udegraded[u]) {
+      if (got.error) std::rethrow_exception(got.error);
+      out[i] = got.config;
+    } else if (got.error || got.fallback) {
       out[i] = select(shapes[i]);  // sequential-equivalent retry; may throw
-      continue;
+    } else {
+      out[i] = got.config;
+      shards_[uniq_hash[u] & shard_mask_]->hits.fetch_add(
+          1, std::memory_order_relaxed);
+      ++deduped;
     }
-    out[i] = uconfig[u];
-    shards_[uniq_hash[u] & shard_mask_]->hits.fetch_add(
-        1, std::memory_order_relaxed);
-    ++deduped;
   }
   batch_dedup_.add(deduped);
   batch_amortized_latency_.record_seconds(timer.elapsed_seconds() /
                                           static_cast<double>(n));
   return out;
-}
-
-std::future<gemm::KernelConfig> SelectionService::select_async(
-    const gemm::GemmShape& shape) {
-  auto promise = std::make_shared<std::promise<gemm::KernelConfig>>();
-  std::future<gemm::KernelConfig> future = promise->get_future();
-  async_pool().post([this, shape, promise] {
-    try {
-      promise->set_value(select(shape));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  return future;
-}
-
-std::future<std::vector<gemm::KernelConfig>>
-SelectionService::select_batch_async(std::vector<gemm::GemmShape> shapes) {
-  auto promise =
-      std::make_shared<std::promise<std::vector<gemm::KernelConfig>>>();
-  std::future<std::vector<gemm::KernelConfig>> future = promise->get_future();
-  async_pool().post([this, shapes = std::move(shapes), promise] {
-    try {
-      promise->set_value(select_batch(shapes));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  return future;
-}
-
-common::ThreadPool& SelectionService::async_pool() const {
-  return async_pool_ != nullptr ? *async_pool_ : common::ThreadPool::global();
 }
 
 std::size_t SelectionService::warm_start(store::SelectionStore& store,
@@ -399,21 +297,21 @@ std::size_t SelectionService::warm_start(store::SelectionStore& store,
   // transferable to *other* devices later.
   store.put_device(device);
 
-  const auto& configs = gemm::enumerate_configs();
   std::size_t seeded = 0;
   for (const store::SelectionRecord& record : store.selections()) {
     if (record.device_fingerprint != device_fingerprint_) continue;
+    // A transferred record was never measured here: serve it, but leave it
+    // provisional so refresh_provisional() still re-tunes it locally.
+    const bool provisional = record.source == store::Source::kTransfer;
+    auto entry = std::make_shared<Entry>();
+    entry->publish(gemm::enumerate_configs()[record.config_index], nullptr,
+                   false, provisional);
     Shard& shard = shard_for(record.shape);
     aks::MutexLock lock(shard.m);
     auto& slot = shard.map[record.shape];
     if (slot) continue;  // already cached (warm_start called twice)
-    slot = std::make_shared<Entry>();
-    slot->config = configs[record.config_index];
-    // A transferred record was never measured here: serve it, but leave it
-    // provisional so refresh_provisional() still re-tunes it locally.
-    slot->provisional = record.source == store::Source::kTransfer;
-    slot->ready.store(true, std::memory_order_release);
-    if (!slot->provisional && tuner_ != nullptr) {
+    slot = std::move(entry);
+    if (!provisional && tuner_ != nullptr) {
       (void)tuner_->preseed(record.shape, record.config_index);
     }
     preloaded_.add();
@@ -422,30 +320,182 @@ std::size_t SelectionService::warm_start(store::SelectionStore& store,
   return seeded;
 }
 
-bool SelectionService::try_transfer_prior(
-    const gemm::GemmShape& shape, const std::shared_ptr<Entry>& entry) {
-  const auto prior = store_->lookup_transfer(*device_, shape);
-  if (!prior.has_value()) return false;
-
-  const gemm::KernelConfig config =
-      gemm::enumerate_configs()[prior->record.config_index];
-  {
-    aks::MutexLock lock(entry->m);
-    entry->config = config;
-    entry->provisional = true;
-    entry->ready.store(true, std::memory_order_release);
+std::vector<gemm::GemmShape> SelectionService::provisional_shapes() const {
+  std::vector<gemm::GemmShape> shapes;
+  for (const auto& shard : shards_) {
+    aks::MutexLock lock(shard->m);
+    for (const auto& [shape, entry] : shard->map) {
+      if (entry->ready.load(std::memory_order_acquire) && entry->provisional) {
+        shapes.push_back(shape);
+      }
+    }
   }
-  entry->cv.notify_all();
-  transfer_priors_.add();
+  std::sort(shapes.begin(), shapes.end());
+  return shapes;
+}
 
-  // Persist the adoption under *our* fingerprint, tagged kTransfer so a
-  // later warm_start still knows it is due a local re-tune.
-  store::SelectionRecord record = prior->record;
-  record.device_fingerprint = device_fingerprint_;
-  record.source = store::Source::kTransfer;
-  record.sweeps = 0;
-  (void)store_->put(std::move(record));
-  return true;
+std::size_t SelectionService::refresh_provisional() {
+  std::size_t refreshed = 0;
+  for (const gemm::GemmShape& shape : provisional_shapes()) {
+    // Published entries are immutable, so the re-tune goes into a *new*
+    // entry swapped in under the shard lock; in-flight readers of the old
+    // entry still see the coherent prior. A failed sweep leaves the prior
+    // in place, and a later refresh retries.
+    auto fresh = std::make_shared<Entry>();
+    if (!warm(shape, *fresh, nullptr)) continue;
+    Shard& shard = shard_for(shape);
+    {
+      aks::MutexLock lock(shard.m);
+      shard.map[shape] = std::move(fresh);
+    }
+    provisional_refreshes_.add();
+    ++refreshed;
+  }
+  return refreshed;
+}
+
+void SelectionService::Entry::publish(const gemm::KernelConfig& answer,
+                                      std::exception_ptr failure,
+                                      bool degraded, bool prior) {
+  {
+    aks::MutexLock lock(m);
+    config = answer;
+    error = std::move(failure);
+    fallback = degraded;
+    provisional = prior;
+    ready.store(true, std::memory_order_release);
+  }
+  cv.notify_all();
+}
+
+void SelectionService::Entry::wait() {
+  aks::MutexLock lock(m);
+  while (!ready.load(std::memory_order_acquire)) cv.wait(lock);
+}
+
+inline SelectionService::Claim SelectionService::claim(
+    Shard& shard, const gemm::GemmShape& shape) {
+  std::shared_ptr<Entry>& slot = shard.map[shape];
+  const bool leader = slot == nullptr;
+  if (leader) slot = std::make_shared<Entry>();
+  return {slot, leader};
+}
+
+SelectionService::Answer SelectionService::lead(
+    const gemm::GemmShape& shape, Shard& shard, Entry& entry,
+    std::vector<store::SelectionRecord>* wave) {
+  // Store-backed services consult the nearest-device prior before paying
+  // for a sweep; a hit publishes the entry (provisionally) sweep-free.
+  if (store_ != nullptr) {
+    if (auto prior = store_->lookup_transfer(*device_, shape)) {
+      entry.publish(gemm::enumerate_configs()[prior->record.config_index],
+                    nullptr, false, true);
+      transfer_priors_.add();
+      // Persist the adoption under *our* fingerprint, tagged kTransfer so a
+      // later warm_start still knows it is due a local re-tune.
+      prior->record.device_fingerprint = device_fingerprint_;
+      prior->record.source = store::Source::kTransfer;
+      prior->record.sweeps = 0;
+      write_behind(std::move(prior->record), wave);
+      return answer(entry, "transfer_prior");
+    }
+  }
+  misses_.add();
+  if (entry.sweeps.fetch_add(1, std::memory_order_relaxed) > 0) {
+    duplicate_sweeps_.add();
+  }
+  if (!warm(shape, entry, wave)) {
+    // Drop the failed entry so a later request retries the warm-up;
+    // current waiters still observe the published result (error or
+    // fallback) through their Entry ref.
+    aks::MutexLock lock(shard.m);
+    const auto it = shard.map.find(shape);
+    if (it != shard.map.end() && it->second.get() == &entry) {
+      shard.map.erase(it);
+    }
+  }
+  return answer(entry, "miss");
+}
+
+bool SelectionService::warm(const gemm::GemmShape& shape, Entry& entry,
+                            std::vector<store::SelectionRecord>* wave) {
+  trace::Span span;
+  if (trace::enabled()) {
+    span.arm("serve.warmup",
+             {trace::arg("m", shape.m), trace::arg("k", shape.k),
+              trace::arg("n", shape.n)});
+  }
+  gemm::KernelConfig config{};
+  std::exception_ptr error;
+  common::Timer timer;
+  try {
+    config = warm_up_(shape);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  const double sweep_seconds = timer.elapsed_seconds();
+  span.annotate(trace::arg("seconds", sweep_seconds));
+
+  const bool tuned = !error;
+  if (error) {
+    warmup_failures_.add();
+    span.annotate(trace::arg(
+        "outcome", fallback_.has_value() ? "fallback" : "error"));
+    if (fallback_.has_value()) {
+      // Degradation contract: serve the fallback to the leader and every
+      // waiter instead of propagating; select() never throws.
+      config = *fallback_;
+      error = nullptr;
+    }
+  }
+  entry.publish(config, error, !tuned && !error, false);
+
+  // Write-behind: a tuned answer becomes a store record (in memory only —
+  // flushing is the owner's call, off the serving path). A fallback served
+  // over a failed warm-up is not a tuned decision: never persisted, so a
+  // warm start cannot resurrect it.
+  if (tuned && store_ != nullptr) {
+    if (auto record = make_record(shape, config, sweep_seconds)) {
+      write_behind(*std::move(record), wave);
+    }
+  }
+
+  // Sampled only now: the cold cost a miss actually adds over a hit is the
+  // sweep *plus* the result publish plus the store write-behind enqueue
+  // (the warm-vs-cold regression test pins this ordering).
+  const double cold_seconds = timer.elapsed_seconds();
+  warmup_latency_.record_seconds(cold_seconds);
+  warmup_seconds_.add(cold_seconds);
+  return tuned;
+}
+
+inline SelectionService::Answer SelectionService::adopt(Shard& shard,
+                                                        Entry& entry) {
+  if (entry.ready.load(std::memory_order_acquire)) {
+    // Hot path: published entries are immutable, no entry lock needed, and
+    // the hit count goes to the shard's stripe, not a global line.
+    shard.hits.fetch_add(1, std::memory_order_relaxed);
+    return answer(entry, "hit");
+  }
+  coalesced_waits_.add();
+  entry.wait();
+  return answer(entry, "coalesced_wait");
+}
+
+inline SelectionService::Answer SelectionService::answer(
+    const Entry& entry, const char* outcome) {
+  if (entry.fallback) fallbacks_served_.add();
+  return {entry.config, entry.error, entry.fallback, outcome};
+}
+
+void SelectionService::write_behind(
+    store::SelectionRecord record,
+    std::vector<store::SelectionRecord>* wave) {
+  if (wave != nullptr) {
+    wave->push_back(std::move(record));
+  } else {
+    (void)store_->put(std::move(record));
+  }
 }
 
 std::optional<store::SelectionRecord> SelectionService::make_record(
@@ -469,152 +519,6 @@ std::optional<store::SelectionRecord> SelectionService::make_record(
   }
   record.source = record_source_;
   return record;
-}
-
-void SelectionService::record_to_store(const gemm::GemmShape& shape,
-                                       const gemm::KernelConfig& config,
-                                       double seconds) {
-  auto record = make_record(shape, config, seconds);
-  if (record.has_value()) (void)store_->put(*std::move(record));
-}
-
-std::vector<gemm::GemmShape> SelectionService::provisional_shapes() const {
-  std::vector<gemm::GemmShape> shapes;
-  for (const auto& shard : shards_) {
-    aks::MutexLock lock(shard->m);
-    for (const auto& [shape, entry] : shard->map) {
-      if (entry->ready.load(std::memory_order_acquire) && entry->provisional) {
-        shapes.push_back(shape);
-      }
-    }
-  }
-  std::sort(shapes.begin(), shapes.end());
-  return shapes;
-}
-
-std::size_t SelectionService::refresh_provisional() {
-  std::size_t refreshed = 0;
-  for (const gemm::GemmShape& shape : provisional_shapes()) {
-    gemm::KernelConfig config{};
-    common::Timer timer;
-    try {
-      config = warm_up_(shape);
-    } catch (...) {
-      warmup_failures_.add();
-      continue;  // the prior stays in place; a later refresh retries
-    }
-    const double sweep_seconds = timer.elapsed_seconds();
-
-    // Published entries are immutable, so the refreshed answer goes in as
-    // a *new* ready entry swapped under the shard lock; in-flight readers
-    // of the old entry still see the coherent prior.
-    auto fresh = std::make_shared<Entry>();
-    fresh->config = config;
-    fresh->ready.store(true, std::memory_order_release);
-    Shard& shard = shard_for(shape);
-    {
-      aks::MutexLock lock(shard.m);
-      shard.map[shape] = std::move(fresh);
-    }
-    provisional_refreshes_.add();
-    ++refreshed;
-    if (store_ != nullptr) record_to_store(shape, config, sweep_seconds);
-    // Sampled after the publish and the write-behind enqueue, same cold-cost
-    // accounting as run_warm_up.
-    const double seconds = timer.elapsed_seconds();
-    warmup_latency_.record_seconds(seconds);
-    warmup_seconds_.add(seconds);
-  }
-  return refreshed;
-}
-
-gemm::KernelConfig SelectionService::run_warm_up(
-    const gemm::GemmShape& shape, Shard& shard,
-    const std::shared_ptr<Entry>& entry,
-    std::vector<store::SelectionRecord>* wave_records) {
-  misses_.add();
-  if (entry->sweeps.fetch_add(1, std::memory_order_relaxed) > 0) {
-    duplicate_sweeps_.add();
-  }
-
-  trace::Span span;
-  if (trace::enabled()) {
-    span.arm("serve.warmup",
-             {trace::arg("m", shape.m), trace::arg("k", shape.k),
-              trace::arg("n", shape.n)});
-  }
-  gemm::KernelConfig config{};
-  std::exception_ptr error;
-  common::Timer timer;
-  try {
-    config = warm_up_(shape);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  const double sweep_seconds = timer.elapsed_seconds();
-  span.annotate(trace::arg("seconds", sweep_seconds));
-
-  bool degraded = false;
-  if (error) {
-    warmup_failures_.add();
-    span.annotate(trace::arg(
-        "outcome", fallback_.has_value() ? "fallback" : "error"));
-    if (fallback_.has_value()) {
-      // Degradation contract: serve the fallback to the leader and every
-      // waiter instead of propagating; select() never throws. The entry is
-      // still dropped below so the next request retries the warm-up.
-      config = *fallback_;
-      error = nullptr;
-      degraded = true;
-    }
-  }
-
-  {
-    aks::MutexLock lock(entry->m);
-    entry->config = config;
-    entry->error = error;
-    entry->fallback = degraded;
-    entry->ready.store(true, std::memory_order_release);
-  }
-  entry->cv.notify_all();
-
-  if (error || degraded) {
-    // Drop the failed entry so a later request retries the warm-up;
-    // current waiters still observe the published result (error or
-    // fallback) through their Entry ref.
-    aks::MutexLock lock(shard.m);
-    const auto it = shard.map.find(shape);
-    if (it != shard.map.end() && it->second == entry) shard.map.erase(it);
-  } else if (store_ != nullptr) {
-    // Write-behind: a successfully tuned answer becomes a store record (in
-    // memory only — flushing is the owner's call, off the serving path). A
-    // fallback served over a failed warm-up is not a tuned decision: never
-    // persisted, so a warm start cannot resurrect it. On the batch path
-    // the record is deferred into the wave's one put_batch enqueue.
-    auto record = make_record(shape, config, sweep_seconds);
-    if (record.has_value()) {
-      if (wave_records != nullptr) {
-        wave_records->push_back(*std::move(record));
-      } else {
-        (void)store_->put(*std::move(record));
-      }
-    }
-  }
-
-  // Sampled only now: the cold cost a miss actually adds over a hit is the
-  // sweep *plus* the result publish plus the store write-behind enqueue.
-  // Sampling right after the sweep (the old code) undercounted the cold
-  // path — the warm-vs-cold regression test pins this ordering.
-  const double cold_seconds = timer.elapsed_seconds();
-  warmup_latency_.record_seconds(cold_seconds);
-  warmup_seconds_.add(cold_seconds);
-
-  if (error) std::rethrow_exception(error);
-  if (degraded) {
-    fallbacks_served_.add();
-    return config;
-  }
-  return config;
 }
 
 void SelectionService::sync_hits() const {

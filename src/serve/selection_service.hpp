@@ -37,26 +37,23 @@
 //    (a graph-build wave: real frameworks pick kernels for every layer at
 //    once, not per inference call) in one pass: inputs are deduplicated,
 //    grouped by shard so each shard lock is taken once per batch, cold
-//    misses are coalesced into a single warm-up wave that runs through the
-//    same single-flight entries select() uses, and the wave's store
+//    misses are coalesced into a single warm-up wave, and the wave's store
 //    write-behind is one batched enqueue instead of one put per shape.
 //    Results come back in input order and are bit-identical to sequential
 //    select() calls (tests/serve_batch_equivalence_test.cpp holds the
-//    property). See DESIGN.md "Batched & async selection";
+//    property). See DESIGN.md "Batched selection".
 //
-//  * async resolution — select_async()/select_batch_async() run the same
-//    code on the reentrancy-safe common::ThreadPool and hand back a
-//    std::future, so callers overlap warm-up sweeps with graph
-//    construction. Deadlock-free by construction: a single-flight leader is
-//    always already running when any waiter exists, and it completes
-//    without needing another pool slot.
+// Both entry points resolve through the same three private steps: *claim*
+// (map[shape] under the shard lock: the entry, and whether the caller
+// leads), *lead* (transfer prior or warm-up, one publish, one write-behind)
+// and *adopt* (wait until published, then answer and count). A caller that
+// wants a future posts select() or select_batch() to a common::ThreadPool.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <span>
@@ -69,10 +66,6 @@
 #include "gemm/config.hpp"
 #include "gemm/shape.hpp"
 #include "perfmodel/device_spec.hpp"
-
-namespace aks::common {
-class ThreadPool;
-}  // namespace aks::common
 
 namespace aks::select {
 class KernelSelector;
@@ -97,9 +90,6 @@ struct ServiceOptions {
   /// request for the shape retries the warm-up. When unset (the default),
   /// warm-up errors propagate to all callers as before.
   std::optional<gemm::KernelConfig> fallback;
-  /// Pool running select_async()/select_batch_async() work (must outlive
-  /// the service). Null means common::ThreadPool::global().
-  common::ThreadPool* async_pool = nullptr;
 };
 
 /// Snapshot of the service counters (each individually monotonic).
@@ -124,7 +114,7 @@ struct ServiceStats {
   std::uint64_t transfer_priors = 0;
   /// Provisional (transferred) answers replaced by a locally tuned one.
   std::uint64_t provisional_refreshes = 0;
-  /// select_batch() calls (select_batch_async counts here on completion).
+  /// select_batch() calls.
   std::uint64_t batch_requests = 0;
   /// Input shapes across every batch (before deduplication).
   std::uint64_t batch_shapes = 0;
@@ -161,7 +151,11 @@ class SelectionService {
   SelectionService(const SelectionService&) = delete;
   SelectionService& operator=(const SelectionService&) = delete;
 
-  /// Thread-safe: the kernel configuration to use for `shape`.
+  /// Thread-safe: the kernel configuration to use for `shape`. Input
+  /// contract: no dimension is zero and no operand's element count (m·k,
+  /// k·n, m·n) overflows std::size_t; a shape outside it throws
+  /// common::Error before the cache is consulted, so it is never cached,
+  /// counted or passed to the warm-up.
   [[nodiscard]] gemm::KernelConfig select(const gemm::GemmShape& shape);
 
   /// Thread-safe batched resolution: the configuration for every shape in
@@ -173,21 +167,11 @@ class SelectionService {
   /// enqueued once per wave. A warm-up failure degrades only that shape
   /// (fallback when configured); without a fallback the wave still
   /// completes — so no entry is ever left in flight — and the first error
-  /// in input order is then rethrown.
+  /// in input order is then rethrown. Same input contract as select(): a
+  /// batch holding any invalid shape throws common::Error before any shape
+  /// of it is resolved or counted.
   [[nodiscard]] std::vector<gemm::KernelConfig> select_batch(
       std::span<const gemm::GemmShape> shapes);
-
-  /// select() on the async pool: returns immediately with a future that
-  /// yields the selection (or rethrows the warm-up error). Lets callers
-  /// overlap warm-up sweeps with graph construction. In-flight futures must
-  /// be waited out before the service is destroyed.
-  [[nodiscard]] std::future<gemm::KernelConfig> select_async(
-      const gemm::GemmShape& shape);
-
-  /// select_batch() on the async pool (one task for the whole batch, so the
-  /// wave coalescing is preserved).
-  [[nodiscard]] std::future<std::vector<gemm::KernelConfig>>
-  select_batch_async(std::vector<gemm::GemmShape> shapes);
 
   /// Attaches a persistent store (must outlive the service) and pre-seeds
   /// the cache with every stored selection for `device`'s fingerprint —
@@ -245,6 +229,29 @@ class SelectionService {
     bool provisional = false;
     /// Warm-up invocations for this shape; >1 would be a duplicate sweep.
     std::atomic<std::uint32_t> sweeps{0};
+
+    /// The one publication of a result: the fields are written under m,
+    /// then `ready` is release-stored and every waiter is woken.
+    void publish(const gemm::KernelConfig& answer, std::exception_ptr failure,
+                 bool degraded, bool prior);
+    /// The one wait for a result: blocks until publish() has run.
+    void wait();
+  };
+
+  /// What one request is served from a published entry.
+  struct Answer {
+    gemm::KernelConfig config{};
+    std::exception_ptr error;
+    bool fallback = false;
+    /// Trace label: hit, coalesced_wait, miss or transfer_prior.
+    const char* outcome = nullptr;
+  };
+
+  struct Claim {
+    /// The shape's map slot; valid only while the shard lock is held.
+    std::shared_ptr<Entry>& slot;
+    /// True when the caller installed the entry and must lead() it.
+    bool leader;
   };
 
   struct Shard {
@@ -260,34 +267,41 @@ class SelectionService {
   };
 
   [[nodiscard]] Shard& shard_for(const gemm::GemmShape& shape);
-  /// Leader path: runs the warm-up, publishes the entry, and accounts the
-  /// cold cost. When `wave_records` is set (the batch path) the store
-  /// write-behind record is appended there for one batched enqueue instead
-  /// of being put per shape.
-  [[nodiscard]] gemm::KernelConfig run_warm_up(
-      const gemm::GemmShape& shape, Shard& shard,
-      const std::shared_ptr<Entry>& entry,
-      std::vector<store::SelectionRecord>* wave_records = nullptr);
-  /// Leader-path store consult: true when a transfer prior was published
-  /// into `entry` (the warm-up sweep is then skipped for this request).
-  [[nodiscard]] bool try_transfer_prior(const gemm::GemmShape& shape,
-                                        const std::shared_ptr<Entry>& entry);
+  /// Claim: finds or installs the shape's entry; the caller leads it when
+  /// it was installed here. Copying the slot out is the caller's choice: a
+  /// published entry can be answered under the lock without a refcount.
+  [[nodiscard]] Claim claim(Shard& shard, const gemm::GemmShape& shape)
+      AKS_REQUIRES(shard.m);
+  /// Lead: publishes a transfer prior or the warm-up result into `entry`
+  /// (dropping it from `shard` when degraded) and answers the leader. The
+  /// write-behind record goes into `wave` when set (the batch path's one
+  /// put_batch), else straight to the store.
+  [[nodiscard]] Answer lead(const gemm::GemmShape& shape, Shard& shard,
+                            Entry& entry,
+                            std::vector<store::SelectionRecord>* wave);
+  /// The leader's cold step, shared with refresh_provisional(): sweep,
+  /// publish, write-behind of a tuned answer, cold-cost accounting. True
+  /// when the warm-up succeeded (the result is a tuned decision).
+  bool warm(const gemm::GemmShape& shape, Entry& entry,
+            std::vector<store::SelectionRecord>* wave);
+  /// Adopt: waits until `entry` is published (a coalesced wait) or finds
+  /// it ready (a hit, counted on `shard`), then answers from it.
+  [[nodiscard]] Answer adopt(Shard& shard, Entry& entry);
+  /// Reads a published entry into an answer, counting a served fallback.
+  [[nodiscard]] Answer answer(const Entry& entry, const char* outcome);
+  void write_behind(store::SelectionRecord record,
+                    std::vector<store::SelectionRecord>* wave);
   /// The store record for a locally tuned decision, or nullopt for a
   /// non-canonical config (custom warm-up fn): nothing to persist.
   [[nodiscard]] std::optional<store::SelectionRecord> make_record(
       const gemm::GemmShape& shape, const gemm::KernelConfig& config,
       double seconds) const;
-  /// Write-behind: records a locally tuned decision in the attached store.
-  void record_to_store(const gemm::GemmShape& shape,
-                       const gemm::KernelConfig& config, double seconds);
-  [[nodiscard]] common::ThreadPool& async_pool() const;
   /// Folds the per-shard hit counts into the registry's serve.hits counter
   /// (serialized so concurrent observers never double-add a delta).
   void sync_hits() const;
 
   WarmUpFn warm_up_;
   std::optional<gemm::KernelConfig> fallback_;
-  common::ThreadPool* async_pool_ = nullptr;
   /// Set by the OnlineTuner constructor so warm_start() can pre-seed the
   /// tuner's own cache alongside the service cache.
   select::OnlineTuner* tuner_ = nullptr;

@@ -214,7 +214,7 @@ TEST(Lockdep, WaitWithOnlyTheWaitMutexHeldIsClean) {
 }
 
 // The serving-stack drill: 8 threads mixing select / select_batch /
-// select_async over a persistent store with flush and compaction. The
+// pooled select over a persistent store with flush and compaction. The
 // graph must be acyclic with no held-while-blocking, and identical across
 // runs — lock nesting is program structure, so the same code paths must
 // yield the same edges regardless of thread interleaving.

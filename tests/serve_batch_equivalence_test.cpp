@@ -12,7 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <future>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,6 +24,7 @@
 #include "gemm/config.hpp"
 #include "perfmodel/cost_model.hpp"
 #include "serve/selection_service.hpp"
+#include "store/selection_store.hpp"
 
 namespace aks::serve {
 namespace {
@@ -57,6 +58,32 @@ std::vector<gemm::GemmShape> random_vector(
     v.push_back(pool[rng.uniform_index(window)]);
   }
   return v;
+}
+
+/// pure_config() behind a warm-up that throws on injected faults, keyed per
+/// (shape, attempt) through its own attempt ledger: a shape can fail its
+/// first warm-up and succeed a retry. Twins built from two calls see the
+/// same per-shape outcomes as long as they attempt shapes alike.
+SelectionService::WarmUpFn ledger_warm_up() {
+  struct AttemptLedger {
+    std::mutex m;
+    std::map<gemm::GemmShape, std::uint64_t> attempts;
+  };
+  return [ledger = std::make_shared<AttemptLedger>()](
+             const gemm::GemmShape& shape) -> gemm::KernelConfig {
+    std::uint64_t attempt = 0;
+    {
+      std::lock_guard lock(ledger->m);
+      attempt = ledger->attempts[shape]++;
+    }
+    faults::FaultScope scope(
+        faults::site_bit(faults::Site::kWarmUpTrial),
+        faults::mix_key(shape.m, shape.k, shape.n, attempt));
+    if (faults::probe(faults::Site::kWarmUpTrial)) {
+      throw faults::LaunchFailure("injected warm-up failure");
+    }
+    return pure_config(shape);
+  };
 }
 
 /// Runs `rounds` random vectors against a (batched, sequential) twin pair,
@@ -171,36 +198,15 @@ TEST(SelectionServiceBatch, MatchesSequentialUnderTunerFaultPlan) {
 }
 
 TEST(SelectionServiceBatch, MatchesSequentialUnderThrowingWarmUps) {
-  // A warm-up that *throws* on injected faults, keyed per (shape, attempt)
-  // through a per-service attempt ledger: a shape can fail its first
-  // warm-up and succeed a retry, exercising the degraded-duplicate path
-  // (later occurrences of a failed shape must re-select, exactly like a
-  // sequential caller whose failed entry was dropped).
+  // A warm-up that *throws* on injected faults (ledger_warm_up): a shape
+  // can fail its first warm-up and succeed a retry, exercising the
+  // degraded-duplicate path (later occurrences of a failed shape must
+  // re-select, exactly like a sequential caller whose failed entry was
+  // dropped).
   faults::FaultPlan plan;
   plan.seed = 191;
   plan.at(faults::Site::kWarmUpTrial).launch_failure = 0.4;
   faults::ScopedFaultPlan install(plan);
-
-  struct AttemptLedger {
-    std::mutex m;
-    std::map<gemm::GemmShape, std::uint64_t> attempts;
-  };
-  const auto make_warm_up = [](const std::shared_ptr<AttemptLedger>& ledger) {
-    return [ledger](const gemm::GemmShape& shape) -> gemm::KernelConfig {
-      std::uint64_t attempt = 0;
-      {
-        std::lock_guard lock(ledger->m);
-        attempt = ledger->attempts[shape]++;
-      }
-      faults::FaultScope scope(
-          faults::site_bit(faults::Site::kWarmUpTrial),
-          faults::mix_key(shape.m, shape.k, shape.n, attempt));
-      if (faults::probe(faults::Site::kWarmUpTrial)) {
-        throw faults::LaunchFailure("injected warm-up failure");
-      }
-      return pure_config(shape);
-    };
-  };
 
   const auto pool = shape_pool();
   const auto fallback = gemm::enumerate_configs()[42];
@@ -209,40 +215,120 @@ TEST(SelectionServiceBatch, MatchesSequentialUnderThrowingWarmUps) {
   for (std::size_t trial = 0; trial < 30; ++trial) {
     ServiceOptions options;
     options.fallback = fallback;
-    SelectionService batched(make_warm_up(std::make_shared<AttemptLedger>()),
-                             options);
-    SelectionService sequential(
-        make_warm_up(std::make_shared<AttemptLedger>()), options);
+    SelectionService batched(ledger_warm_up(), options);
+    SelectionService sequential(ledger_warm_up(), options);
     run_twin_rounds(batched, sequential, rng, pool, 5, vectors);
   }
   EXPECT_GE(vectors, 150u);
 }
 
-TEST(SelectionServiceBatch, AsyncVariantsAgreeWithSynchronous) {
-  const auto pool = shape_pool();
-  SelectionService service(pure_config);
-  std::vector<std::future<gemm::KernelConfig>> futures;
-  futures.reserve(pool.size());
-  for (const auto& shape : pool) futures.push_back(service.select_async(shape));
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    EXPECT_EQ(gemm::config_index(futures[i].get()),
-              gemm::config_index(pure_config(pool[i])));
-  }
+TEST(SelectionServiceBatch, MatchesSequentialOverWarmStartedStore) {
+  // Twin services warm-started from copies of one journal: shapes stored
+  // for this device are preloaded, shapes stored only for another device
+  // are served as transfer priors, the rest are cold and written behind.
+  // Batched and sequential traffic (then a provisional refresh) must agree
+  // on every answer, every service counter and every flushed record.
+  faults::FaultPlan plan;
+  plan.seed = 404;
+  plan.at(faults::Site::kWarmUpTrial).launch_failure = 0.2;
+  faults::ScopedFaultPlan install(plan);
 
-  std::vector<gemm::GemmShape> batch(pool.begin(), pool.begin() + 12);
-  batch.insert(batch.end(), pool.begin(), pool.begin() + 12);  // duplicates
-  auto future = service.select_batch_async(batch);
-  const auto got = future.get();
-  ASSERT_EQ(got.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(gemm::config_index(got[i]),
-              gemm::config_index(pure_config(batch[i])));
+  const auto nano = perf::DeviceSpec::amd_r9_nano();
+  const auto igpu = perf::DeviceSpec::integrated_gpu();
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto seed_path = dir / "aks_batch_equiv_seed.journal";
+  const auto batched_path = dir / "aks_batch_equiv_batched.journal";
+  const auto sequential_path = dir / "aks_batch_equiv_sequential.journal";
+  const auto pool = shape_pool();
+  const auto& configs = gemm::enumerate_configs();
+  // Stored answers differ from pure_config(), so preloaded, transferred and
+  // freshly swept answers are told apart.
+  const auto stored = [&](const gemm::GemmShape& shape,
+                          std::uint64_t fingerprint, std::uint32_t offset) {
+    store::SelectionRecord record;
+    record.device_fingerprint = fingerprint;
+    record.shape = shape;
+    record.config_index = static_cast<std::uint32_t>(
+        (gemm::config_index(pure_config(shape)) + offset) % configs.size());
+    record.sweeps = 1;
+    return record;
+  };
+
+  common::Rng rng(0x570e);
+  std::size_t vectors = 0;
+  ServiceStats totals;  // the paths exercised, summed over trials
+  for (std::size_t trial = 0; trial < 20; ++trial) {
+    for (const auto& path : {seed_path, batched_path, sequential_path}) {
+      std::filesystem::remove(path);
+    }
+    {
+      store::SelectionStore seed(seed_path);
+      seed.put_device(igpu);
+      for (const auto& shape : pool) {
+        const double draw = rng.uniform();
+        if (draw < 0.3) {
+          ASSERT_TRUE(seed.put(stored(shape, nano.fingerprint(), 1)));
+        } else if (draw < 0.6) {
+          ASSERT_TRUE(seed.put(stored(shape, igpu.fingerprint(), 2)));
+        }
+      }
+      (void)seed.flush();
+    }
+    std::filesystem::copy_file(seed_path, batched_path);
+    std::filesystem::copy_file(seed_path, sequential_path);
+
+    ServiceOptions options;
+    options.fallback = configs[42];
+    {
+      store::SelectionStore batched_store(batched_path);
+      store::SelectionStore sequential_store(sequential_path);
+      SelectionService batched(ledger_warm_up(), options);
+      SelectionService sequential(ledger_warm_up(), options);
+      EXPECT_EQ(batched.warm_start(batched_store, nano),
+                sequential.warm_start(sequential_store, nano));
+      run_twin_rounds(batched, sequential, rng, pool, 5, vectors);
+      EXPECT_EQ(batched.refresh_provisional(),
+                sequential.refresh_provisional());
+      EXPECT_EQ(batched.provisional_shapes(), sequential.provisional_shapes());
+
+      const auto b = batched.stats();
+      const auto s = sequential.stats();
+      EXPECT_EQ(b.preloaded, s.preloaded);
+      EXPECT_EQ(b.transfer_priors, s.transfer_priors);
+      EXPECT_EQ(b.provisional_refreshes, s.provisional_refreshes);
+      EXPECT_EQ(b.warmup_failures, s.warmup_failures);
+      EXPECT_EQ(b.coalesced_waits, s.coalesced_waits);
+      totals.preloaded += b.preloaded;
+      totals.transfer_priors += b.transfer_priors;
+      totals.provisional_refreshes += b.provisional_refreshes;
+      totals.warmup_failures += b.warmup_failures;
+      totals.misses += b.misses;
+      (void)batched_store.flush();
+      (void)sequential_store.flush();
+    }
+
+    // The journals, reloaded, hold the same decision per (device, shape);
+    // only the measured warm-up seconds may differ.
+    const store::SelectionStore batched_store(batched_path);
+    const store::SelectionStore sequential_store(sequential_path);
+    auto b = batched_store.selections();
+    auto s = sequential_store.selections();
+    ASSERT_EQ(b.size(), s.size());
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i].warmup_seconds = s[i].warmup_seconds = 0.0;
+      EXPECT_EQ(b[i], s[i]) << "record for " << b[i].shape.to_string()
+                            << " diverged between batched and sequential";
+    }
   }
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.duplicate_sweeps, 0u);
-  EXPECT_EQ(stats.batch_requests, 1u);
-  EXPECT_EQ(stats.batch_shapes, batch.size());
-  EXPECT_EQ(stats.batch_dedup, 12u);
+  for (const auto& path : {seed_path, batched_path, sequential_path}) {
+    std::filesystem::remove(path);
+  }
+  EXPECT_GE(vectors, 100u);
+  EXPECT_GT(totals.preloaded, 0u);
+  EXPECT_GT(totals.transfer_priors, 0u);
+  EXPECT_GT(totals.provisional_refreshes, 0u);
+  EXPECT_GT(totals.warmup_failures, 0u);
+  EXPECT_GT(totals.misses, 0u);
 }
 
 TEST(SelectionServiceBatch, BatchStatsAccounting) {

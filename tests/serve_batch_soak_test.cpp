@@ -1,10 +1,11 @@
-// Concurrency soak for the batched/async selection API: 8 threads overlap
-// select(), select_batch() and select_async() on one service while an
-// observer thread snapshots stats. Invariants under TSan: warm-up runs
-// exactly once per unique shape (single-flight holds across entry points),
-// every request is accounted as a hit, miss or coalesced wait, counters
-// only ever grow, and nested pool use (async selects running on the same
-// global pool the warm-up's parallel_for borrows) never deadlocks.
+// Concurrency soak for the batched selection API: 8 threads overlap
+// select(), select_batch() and select() posted to the global thread pool
+// on one service while an observer thread snapshots stats. Invariants
+// under TSan: warm-up runs exactly once per unique shape (single-flight
+// holds across entry points), every request is accounted as a hit, miss or
+// coalesced wait, counters only ever grow, and nested pool use (pooled
+// selects running on the same global pool the warm-up's parallel_for
+// borrows) never deadlocks.
 //
 // Suite name SelectionServiceBatch is matched by the CI sanitize/tsan
 // filters (SelectionService[A-Za-z]*).
@@ -36,8 +37,8 @@ std::vector<gemm::GemmShape> test_shapes(std::size_t n) {
 }
 
 /// Warm-up that counts invocations per shape and runs part of its work as a
-/// parallel_for on the global pool — the same pool select_async() tasks
-/// occupy — so the soak exercises the nested-use guarantee for real.
+/// parallel_for on the global pool — the same pool the posted select()
+/// tasks occupy — so the soak exercises the nested-use guarantee for real.
 class CountingWarmUp {
  public:
   gemm::KernelConfig operator()(const gemm::GemmShape& shape) {
@@ -117,7 +118,10 @@ TEST(SelectionServiceBatch, ConcurrentMixedEntryPointsSoak) {
           requested.fetch_add(size, std::memory_order_relaxed);
         } else {
           const auto& shape = shapes[rng.uniform_index(shapes.size())];
-          auto future = service.select_async(shape);
+          std::packaged_task<gemm::KernelConfig()> task(
+              [&] { return service.select(shape); });
+          auto future = task.get_future();
+          common::ThreadPool::global().post([&task] { task(); });
           (void)future.get();
           requested.fetch_add(1, std::memory_order_relaxed);
         }

@@ -231,6 +231,47 @@ TEST(SelectionService, BatchWaveFaultDegradesOnlyFailingShape) {
   std::filesystem::remove(store_path);
 }
 
+TEST(SelectionService, RejectsInvalidShapesBeforeTheTuner) {
+  // A caller's bad shape is refused at the service boundary. Reaching the
+  // tuner, every trial would fail as if the kernel were at fault, healthy
+  // candidates would be quarantined for good, and the degraded answer
+  // would be cached and written behind as a tuned decision.
+  const std::vector<std::size_t> candidates = {0, 100, 250, 400};
+  select::TunerOptions tuner_options;
+  tuner_options.quarantine_threshold = 3;
+  select::OnlineTuner tuner(candidates, model_timer(), tuner_options);
+  SelectionService service(tuner);
+
+  for (std::size_t i = 0; i < 8; ++i) {
+    gemm::GemmShape bad{64 + 16 * i, 96 + 16 * i, 128 + 16 * i};
+    (i % 3 == 0 ? bad.m : i % 3 == 1 ? bad.k : bad.n) = 0;
+    EXPECT_THROW((void)service.select(bad), common::Error)
+        << bad.to_string();
+  }
+  // Operand element counts past size_t, and a batch holding one bad shape.
+  const std::size_t huge = std::size_t{1} << 40;
+  EXPECT_THROW((void)service.select({huge, huge, 1}), common::Error);
+  EXPECT_THROW((void)service.select({1, huge, huge}), common::Error);
+  EXPECT_THROW((void)service.select({huge, 1, huge}), common::Error);
+  const std::vector<gemm::GemmShape> batch = {{64, 64, 64}, {64, 0, 64}};
+  EXPECT_THROW((void)service.select_batch(batch), common::Error);
+
+  EXPECT_TRUE(tuner.quarantined().empty());
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.batch_requests, 0u);
+  EXPECT_EQ(stats.cached_shapes, 0u);
+
+  // The tuner is as healthy as a fresh one: a valid shape gets its true
+  // best, not the quarantine fallback.
+  const gemm::GemmShape shape{256, 256, 256};
+  select::OnlineTuner fresh(candidates, model_timer(), tuner_options);
+  const std::size_t expected = gemm::config_index(fresh.select(shape));
+  ASSERT_NE(expected, candidates.front());
+  EXPECT_EQ(gemm::config_index(service.select(shape)), expected);
+}
+
 TEST(OnlineTunerConcurrency, QuarantineEngagesAfterConsecutiveFailures) {
   // Candidate trials all fail (rate 1 at the warm-up site): after
   // `quarantine_threshold` sweeps every non-fallback candidate is
