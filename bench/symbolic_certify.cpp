@@ -57,7 +57,8 @@ int main() {
             << "-shape corpus: " << replay_us << " us, " << replay_findings
             << " finding(s)\n";
 
-  // Certificate-gated pipeline: the safe mask feeds CertifiedPruner.
+  // Certificate-gated pipeline: the safe mask feeds the "+Certified"
+  // MaskedPruner.
   const auto dataset = bench::paper_dataset();
   select::PipelineOptions options;
   options.num_configs = 8;

@@ -16,7 +16,7 @@
 //                      the staging loads cannot be emitted as full vectors.
 //
 // The report is machine-readable (CSV round-trip) and collapses to a
-// per-config validity mask that `select::ValidityFilteredPruner` consumes,
+// per-config validity mask that the "+Lint" `select::MaskedPruner` consumes,
 // so invalid (config, device) points never enter a pruned library.
 #pragma once
 

@@ -10,6 +10,8 @@
 #include <ostream>
 #include <utility>
 
+#include "common/json.hpp"
+
 namespace aks::check::lockdep {
 
 namespace {
@@ -86,24 +88,9 @@ void record_edge(Registry& reg, std::uint32_t from, std::uint32_t to) {
   }
 }
 
-void escape_json(const std::string& s, std::ostream& out) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u0020";  // other control chars never occur in names
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
+/// Writes `s` as a quoted JSON string.
+void write_json_string(const std::string& s, std::ostream& out) {
+  out << '"' << common::json_escape(s) << '"';
 }
 
 /// Tarjan strongly-connected components over the edge graph. Returns the
@@ -412,20 +399,20 @@ void write_json(const Report& report, std::ostream& out) {
     const ClassInfo& cls = report.classes[i];
     out << (i == 0 ? "" : ",") << "\n    {\"id\": " << cls.id
         << ", \"name\": ";
-    escape_json(cls.name, out);
+    write_json_string(cls.name, out);
     out << ", \"acquisitions\": " << cls.acquisitions << "}";
   }
   out << "\n  ],\n  \"edges\": [";
   for (std::size_t i = 0; i < report.edges.size(); ++i) {
     const EdgeInfo& edge = report.edges[i];
     out << (i == 0 ? "" : ",") << "\n    {\"from\": ";
-    escape_json(edge.from_name, out);
+    write_json_string(edge.from_name, out);
     out << ", \"to\": ";
-    escape_json(edge.to_name, out);
+    write_json_string(edge.to_name, out);
     out << ", \"count\": " << edge.count << ", \"witness\": [";
     for (std::size_t w = 0; w < edge.witness.size(); ++w) {
       if (w != 0) out << ", ";
-      escape_json(edge.witness[w], out);
+      write_json_string(edge.witness[w], out);
     }
     out << "]}";
   }
@@ -435,7 +422,7 @@ void write_json(const Report& report, std::ostream& out) {
     const CycleInfo& cycle = report.cycles[i];
     for (std::size_t c = 0; c < cycle.names.size(); ++c) {
       if (c != 0) out << ", ";
-      escape_json(cycle.names[c], out);
+      write_json_string(cycle.names[c], out);
     }
     out << "]";
   }
@@ -443,11 +430,11 @@ void write_json(const Report& report, std::ostream& out) {
   for (std::size_t i = 0; i < report.held_while_blocking.size(); ++i) {
     const ViolationInfo& violation = report.held_while_blocking[i];
     out << (i == 0 ? "" : ",") << "\n    {\"blocked_on\": ";
-    escape_json(violation.blocked_on, out);
+    write_json_string(violation.blocked_on, out);
     out << ", \"held\": [";
     for (std::size_t h = 0; h < violation.held.size(); ++h) {
       if (h != 0) out << ", ";
-      escape_json(violation.held[h], out);
+      write_json_string(violation.held[h], out);
     }
     out << "], \"count\": " << violation.count << "}";
   }

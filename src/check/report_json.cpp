@@ -33,30 +33,6 @@ void open_run(std::ostringstream& os, std::string_view tool) {
 
 }  // namespace
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream os;
-          os << "\\u00" << std::hex << (c < 16 ? "0" : "")
-             << static_cast<int>(c);
-          out += os.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string to_json(const LintReport& report) {
   std::ostringstream os;
   open_run(os, "akscheck-lint");

@@ -6,8 +6,8 @@
 // array; each result carries ruleId, level, the config and device it
 // applies to, the shape precondition or counterexample, and a message).
 // The schema is deliberately minimal — no external JSON dependency exists
-// in this repo, so the writer below emits the subset it needs with correct
-// string escaping.
+// in this repo, so the writer below emits the subset it needs, escaping
+// strings with common::json_escape.
 //
 //   level mapping:  SAFE -> "note", UNKNOWN -> "warning",
 //                   UNSAFE / lint finding -> "error".
@@ -18,12 +18,11 @@
 
 #include "check/config_lint.hpp"
 #include "check/symbolic/certificate.hpp"
+#include "common/json.hpp"
 
 namespace aks::check {
 
-/// Escapes a string for inclusion in a JSON string literal (quotes,
-/// backslashes, control characters).
-[[nodiscard]] std::string json_escape(std::string_view text);
+using common::json_escape;
 
 /// Renders a lint report: every finding becomes an "error" result.
 [[nodiscard]] std::string to_json(const LintReport& report);

@@ -15,7 +15,8 @@
 //
 // The report round-trips as CSV (same conventions as check::LintReport),
 // exports SARIF-ish JSON via report_json.hpp, and collapses to a
-// per-config safety mask that `select::CertifiedPruner` consumes.
+// per-config safety mask that the "+Certified" `select::MaskedPruner`
+// consumes.
 //
 // `differential_check` is the trust-but-verify mode: it cross-checks
 // symbolic verdicts against sampled dynamic replays — SAFE configs must

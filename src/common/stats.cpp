@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -46,70 +47,29 @@ double harmonic_mean(std::span<const double> xs) {
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
-double mad(std::span<const double> xs) {
-  AKS_CHECK(!xs.empty(), "mad of empty range");
-  const double med = median(xs);
-  std::vector<double> deviations(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    deviations[i] = std::abs(xs[i] - med);
+double min_within_band(std::span<double> xs, double band,
+                       std::size_t* rejected) {
+  AKS_CHECK(!xs.empty(), "min_within_band of empty range");
+  AKS_CHECK(band >= 1.0, "min_within_band band must be >= 1, got " << band);
+  if (rejected != nullptr) *rejected = 0;
+  const auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
+  // Every sample lies within [min, max] and so does the median, so no
+  // sample can be more than max / min away from it.
+  if (*hi <= band * *lo) return *lo;
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  const double med = n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+  std::size_t dropped = 0;
+  double best = std::numeric_limits<double>::infinity();
+  for (const double x : xs) {
+    if (x * band < med || x > band * med) {
+      ++dropped;
+    } else {
+      best = std::min(best, x);
+    }
   }
-  // 1.4826 makes the MAD estimate sigma for normal data.
-  return 1.4826 * median(deviations);
-}
-
-double trimmed_mean(std::span<const double> xs, double trim) {
-  AKS_CHECK(!xs.empty(), "trimmed_mean of empty range");
-  AKS_CHECK(trim >= 0.0 && trim < 0.5,
-            "trimmed_mean trim must be in [0, 0.5), got " << trim);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto cut =
-      static_cast<std::size_t>(trim * static_cast<double>(sorted.size()));
-  AKS_CHECK(2 * cut < sorted.size(), "trimmed_mean trims every sample");
-  double acc = 0.0;
-  for (std::size_t i = cut; i < sorted.size() - cut; ++i) acc += sorted[i];
-  return acc / static_cast<double>(sorted.size() - 2 * cut);
-}
-
-std::vector<bool> mad_keep_mask(std::span<const double> xs, double threshold,
-                                double max_reject_fraction) {
-  AKS_CHECK(!xs.empty(), "mad_keep_mask of empty range");
-  AKS_CHECK(threshold > 0.0, "mad_keep_mask threshold must be positive");
-  AKS_CHECK(max_reject_fraction >= 0.0 && max_reject_fraction < 1.0,
-            "mad_keep_mask max_reject_fraction must be in [0, 1)");
-  std::vector<bool> keep(xs.size(), true);
-  const double scale = mad(xs);
-  if (scale <= 0.0) return keep;  // degenerate: at least half identical
-  const double med = median(xs);
-  const double limit = threshold * scale;
-  // Reject farthest-first so the cap keeps the closest offenders rather
-  // than an arbitrary input-order subset.
-  std::vector<double> deviations(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    deviations[i] = std::abs(xs[i] - med);
-  }
-  const auto by_deviation = argsort_descending(deviations);
-  const auto max_rejects = static_cast<std::size_t>(
-      max_reject_fraction * static_cast<double>(xs.size()));
-  std::size_t rejected = 0;
-  for (const std::size_t i : by_deviation) {
-    if (rejected >= max_rejects || deviations[i] <= limit) break;
-    keep[i] = false;
-    ++rejected;
-  }
-  return keep;
-}
-
-std::vector<double> reject_outliers_mad(std::span<const double> xs,
-                                        double threshold,
-                                        double max_reject_fraction) {
-  const auto keep = mad_keep_mask(xs, threshold, max_reject_fraction);
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (keep[i]) out.push_back(xs[i]);
-  }
-  return out;
+  if (rejected != nullptr) *rejected = dropped;
+  return best;
 }
 
 double quantile(std::span<const double> xs, double q) {

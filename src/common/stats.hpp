@@ -29,29 +29,15 @@ namespace aks::common {
 /// Median (average of middle two for even sizes); requires non-empty range.
 [[nodiscard]] double median(std::span<const double> xs);
 
-/// Median absolute deviation from the median, scaled by 1.4826 so it is a
-/// consistent sigma estimate for normal data; requires non-empty range.
-[[nodiscard]] double mad(std::span<const double> xs);
-
-/// Mean after symmetrically trimming floor(trim * n) samples from each end
-/// of the sorted range; trim in [0, 0.5), requires enough samples to leave
-/// at least one untrimmed. trim = 0 is the arithmetic mean.
-[[nodiscard]] double trimmed_mean(std::span<const double> xs, double trim);
-
-/// MAD-based outlier rejection: keep-mask over `xs` marking samples within
-/// `threshold` scaled MADs of the median. Guarantees: never rejects more
-/// than floor(max_reject_fraction * n) samples (the farthest-from-median
-/// ones go first), and rejects nothing when the MAD is zero (degenerate
-/// half-identical data). The robust-measurement layer runs this before any
-/// reduction so a single glitched timing cannot steal a best-of-N.
-[[nodiscard]] std::vector<bool> mad_keep_mask(std::span<const double> xs,
-                                              double threshold = 3.5,
-                                              double max_reject_fraction = 0.4);
-
-/// Convenience: the samples surviving mad_keep_mask, in input order.
-[[nodiscard]] std::vector<double> reject_outliers_mad(
-    std::span<const double> xs, double threshold = 3.5,
-    double max_reject_fraction = 0.4);
+/// Minimum of the samples within a factor `band` of their median: a sample
+/// above band * median or below median / band is an outlier and is dropped
+/// (the upper middle sample always survives, so the result is defined).
+/// When max <= band * min nothing is dropped and this is the plain minimum.
+/// Reorders `xs` instead of allocating; requires a non-empty range and
+/// band >= 1. `*rejected`, when given, receives the number of samples
+/// dropped.
+[[nodiscard]] double min_within_band(std::span<double> xs, double band,
+                                     std::size_t* rejected = nullptr);
 
 /// Linear-interpolated quantile, q in [0, 1]; requires non-empty range.
 [[nodiscard]] double quantile(std::span<const double> xs, double q);

@@ -29,7 +29,6 @@ OnlineTuner::OnlineTuner(std::vector<std::size_t> candidates, TimerFn timer,
       health_(candidates_.size()) {
   AKS_CHECK(!candidates_.empty(), "online tuner needs candidates");
   AKS_CHECK(timer_ != nullptr, "online tuner needs a timer function");
-  AKS_CHECK(options_.trial_attempts > 0, "trial_attempts must be positive");
   const auto num_configs = gemm::enumerate_configs().size();
   for (const std::size_t c : candidates_) {
     AKS_CHECK(c < num_configs, "candidate index " << c << " out of range");
@@ -78,8 +77,8 @@ gemm::KernelConfig OnlineTuner::select(const gemm::GemmShape& shape) {
     if (trace::enabled()) {
       trial_span.arm("tuner.trial", {trace::arg("config", candidate)});
     }
-    double candidate_best = std::numeric_limits<double>::infinity();
-    for (int attempt = 0; attempt < options_.trial_attempts; ++attempt) {
+    double candidate_time = std::numeric_limits<double>::infinity();
+    for (int attempt = 0; attempt < kTrialAttempts; ++attempt) {
       // Arm both the warm-up-trial and kernel-launch sites: the timer may
       // route through syclrt::Queue (host mode) or be pure host timing.
       faults::FaultScope scope(
@@ -113,18 +112,16 @@ gemm::KernelConfig OnlineTuner::select(const gemm::GemmShape& shape) {
         trial_failures_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
+      // The first valid time settles the candidate.
       sweep_seconds += t;
-      candidate_best = std::min(candidate_best, t);
-      // Fault-free trials are deterministic; one valid sample settles the
-      // candidate (and keeps the legacy one-timer-call-per-candidate
-      // accounting intact when no plan is installed).
-      if (!faults::plan_active()) break;
+      candidate_time = t;
+      break;
     }
-    if (std::isfinite(candidate_best)) {
+    if (std::isfinite(candidate_time)) {
       any_valid = true;
-      trial_span.annotate(trace::arg("best_seconds", candidate_best));
-      if (candidate_best < best_time) {
-        best_time = candidate_best;
+      trial_span.annotate(trace::arg("seconds", candidate_time));
+      if (candidate_time < best_time) {
+        best_time = candidate_time;
         best = candidate;
       }
     } else {

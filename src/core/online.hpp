@@ -11,16 +11,19 @@
 //
 // Degradation contract (see DESIGN.md "Fault model"): a trial that throws
 // (launch failure, hang killed at the deadline) or returns a non-finite /
-// non-positive time is *not* an error of select(). The trial is retried up
-// to TunerOptions::trial_attempts; a candidate whose sweeps keep failing is
-// quarantined after quarantine_threshold consecutive sweep-level failures
-// and skipped from then on (so a kernel that cannot launch stops burning
-// warm-up budget and can never win); and when every candidate of a sweep
-// fails, select() returns the guaranteed fallback configuration — the first
-// candidate, which is immune to quarantine — instead of throwing. select()
-// never throws on a degraded zoo. Faults are drawn at Site::kWarmUpTrial /
-// Site::kKernelLaunch (the trial arms both), keyed on (shape, candidate,
-// attempt) so fault sequences replay bit-identically.
+// non-positive time is *not* an error of select(). Only such a trial is
+// retried, up to OnlineTuner::kTrialAttempts; the first valid time settles
+// the candidate, so a healthy candidate costs exactly one timer call per
+// sweep whether or not a fault plan is installed. A candidate whose sweeps
+// keep failing is quarantined after quarantine_threshold consecutive
+// sweep-level failures and skipped from then on (so a kernel that cannot
+// launch stops burning warm-up budget and can never win); and when every
+// candidate of a sweep fails, select() returns the guaranteed fallback
+// configuration — the first candidate, which is immune to quarantine —
+// instead of throwing. select() never throws on a degraded zoo. Faults are
+// drawn at Site::kWarmUpTrial / Site::kKernelLaunch (the trial arms both),
+// keyed on (shape, candidate, attempt) so fault sequences replay
+// bit-identically.
 //
 // Thread safety: select() may be called concurrently. Cache lookups take a
 // shared lock; the trial sweep runs unlocked and the first finished sweep
@@ -52,9 +55,6 @@ struct TunerOptions {
   /// select() sweep) before a candidate is quarantined. 0 disables
   /// quarantine.
   std::size_t quarantine_threshold = 3;
-  /// Trial attempts per candidate per sweep before the candidate counts as
-  /// failed for that sweep.
-  int trial_attempts = 2;
 };
 
 class OnlineTuner {
@@ -64,8 +64,13 @@ class OnlineTuner {
   using TimerFn =
       std::function<double(const gemm::KernelConfig&, const gemm::GemmShape&)>;
 
+  /// Timer calls per candidate per sweep before the candidate counts as
+  /// failed for that sweep; only a failed call is retried.
+  static constexpr int kTrialAttempts = 2;
+
   /// `candidates` are canonical configuration indices; `timer` is invoked
-  /// up to trial_attempts times per eligible candidate on every cache miss.
+  /// once per eligible candidate on every cache miss, and up to
+  /// kTrialAttempts times for a candidate whose trials fail.
   /// The first candidate doubles as the guaranteed fallback: it is never
   /// quarantined and is served when a whole sweep fails.
   OnlineTuner(std::vector<std::size_t> candidates, TimerFn timer,

@@ -62,8 +62,8 @@ struct PipelineOptions {
   /// Per-config safety certificates (index = canonical config index, true =
   /// statically certified SAFE; typically
   /// `check::symbolic::CertifyReport::safe_mask()`). When non-empty the
-  /// pruner is wrapped in a CertifiedPruner so uncertified configurations
-  /// never enter the shipped set.
+  /// pruner is wrapped in a "+Certified" MaskedPruner so uncertified
+  /// configurations never enter the shipped set.
   std::vector<bool> certified_mask;
 };
 

@@ -111,46 +111,31 @@ class AgglomerativePruner final : public ConfigPruner {
       const data::PerfDataset& train, std::size_t max_configs) const override;
 };
 
-/// Decorator that removes configurations flagged invalid by the static
-/// config lint (akscheck) from another pruner's selection, re-padding from
-/// the validity-restricted top-N ranking so the budget is still met. The
-/// mask is a plain per-config bitmap (index = canonical config index, true
-/// = valid) — typically `check::LintReport::valid_mask()` carried across
-/// the process boundary as a report file, keeping this layer free of a
-/// dependency on the analysis tooling.
-class ValidityFilteredPruner final : public ConfigPruner {
+/// Decorator that removes the configurations a per-config mask rejects from
+/// another pruner's selection, re-padding from the mask-restricted top-N
+/// ranking so the budget is still met. The mask is a plain bitmap (index =
+/// canonical config index, true = allowed) carried across the process
+/// boundary as a file, keeping this layer free of a dependency on the
+/// analysis tooling. Two masks are deployed, stacked lint inside and
+/// certificates outside:
+///   * "+Lint" — `check::LintReport::valid_mask()`, the per-replay dynamic
+///     findings of the static config lint (akscheck);
+///   * "+Certified" — `check::symbolic::CertifyReport::safe_mask()`, the
+///     for-all-shapes symbolic verdicts: a config without a SAFE
+///     certificate never ships.
+/// `suffix` is appended to the inner pruner's name.
+class MaskedPruner final : public ConfigPruner {
  public:
-  ValidityFilteredPruner(std::unique_ptr<ConfigPruner> inner,
-                         std::vector<bool> valid);
+  MaskedPruner(std::unique_ptr<ConfigPruner> inner, std::vector<bool> mask,
+               std::string suffix);
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::vector<std::size_t> prune(
       const data::PerfDataset& train, std::size_t max_configs) const override;
 
  private:
   std::unique_ptr<ConfigPruner> inner_;
-  std::vector<bool> valid_;
-};
-
-/// Decorator that removes configurations whose symbolic safety certificate
-/// is not SAFE from another pruner's selection, re-padding from the
-/// safety-restricted top-N ranking so the budget is still met. The mask is
-/// a plain per-config bitmap (index = canonical config index, true = SAFE
-/// on the target device(s)) — typically
-/// `check::symbolic::CertifyReport::safe_mask()`, carried across the
-/// process boundary as a certificate file, keeping this layer free of a
-/// dependency on the analysis tooling. Where ValidityFilteredPruner
-/// enforces per-replay dynamic findings, this enforces the for-all-shapes
-/// static verdicts: a config without a SAFE certificate never ships.
-class CertifiedPruner final : public ConfigPruner {
- public:
-  CertifiedPruner(std::unique_ptr<ConfigPruner> inner, std::vector<bool> safe);
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::vector<std::size_t> prune(
-      const data::PerfDataset& train, std::size_t max_configs) const override;
-
- private:
-  std::unique_ptr<ConfigPruner> inner_;
-  std::vector<bool> safe_;
+  std::vector<bool> mask_;
+  std::string suffix_;
 };
 
 /// Removes quarantined canonical indices (e.g. OnlineTuner::quarantined())

@@ -1,16 +1,13 @@
 #include "dataset/benchmark_runner.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/sync.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "faults/injector.hpp"
 #include "gemm/registry.hpp"
@@ -19,6 +16,14 @@
 namespace aks::data {
 
 namespace {
+
+/// Extra measurement attempts per cell, and per row for corrupt-row
+/// recovery, when faults leave too few valid samples.
+constexpr int kMaxRetries = 3;
+/// Samples further than this factor from their window's median are
+/// outliers. Fault-free noise (sigma 0.03) never gets near it; injected
+/// timing outliers are at least 4x off.
+constexpr double kOutlierBand = 2.0;
 
 // Counters shared across the worker threads of one run, flushed into the
 // caller's MetricsRegistry at the end (a run is one logical operation; the
@@ -32,16 +37,9 @@ struct RunnerCounters {
   std::atomic<std::uint64_t> cells_fell_back{0};
   std::atomic<std::uint64_t> rows_corrupted{0};
   std::atomic<std::uint64_t> rows_repaired{0};
-  aks::Mutex backoff_mutex{"dataset.backoff"};
-  double backoff_seconds AKS_GUARDED_BY(backoff_mutex) = 0.0;
 
   void flush(common::MetricsRegistry* metrics) {
     if (metrics == nullptr) return;
-    double backoff = 0.0;
-    {
-      aks::MutexLock lock(backoff_mutex);
-      backoff = backoff_seconds;
-    }
     metrics->counter("runner.launch_failures").add(launch_failures.load());
     metrics->counter("runner.hangs").add(hangs.load());
     metrics->counter("runner.timing_nans").add(timing_nans.load());
@@ -50,7 +48,6 @@ struct RunnerCounters {
     metrics->counter("runner.cells_fell_back").add(cells_fell_back.load());
     metrics->counter("runner.rows_corrupted").add(rows_corrupted.load());
     metrics->counter("runner.rows_repaired").add(rows_repaired.load());
-    metrics->accumulator("runner.backoff_seconds").add(backoff);
   }
 };
 
@@ -61,53 +58,30 @@ std::uint64_t cell_key(const gemm::GemmShape& shape, std::size_t config_index,
                          static_cast<std::uint64_t>(attempt));
 }
 
-double reduce_samples(std::vector<double>& samples,
-                      const RunnerOptions& options, int* outliers_rejected) {
-  const auto kept = common::reject_outliers_mad(samples, options.mad_threshold);
-  *outliers_rejected +=
-      static_cast<int>(samples.size()) - static_cast<int>(kept.size());
-  switch (options.aggregate) {
-    case RunnerOptions::Aggregate::kMedian:
-      return common::median(kept);
-    case RunnerOptions::Aggregate::kTrimmedMean:
-      return common::trimmed_mean(kept, 0.2);
-    case RunnerOptions::Aggregate::kBestOf:
-      break;
-  }
-  return common::min_value(kept);
-}
-
+/// Measures one cell. `samples` is caller-owned scratch, reused across the
+/// cells of a row so the per-cell path does not allocate.
 CellMeasurement measure_cell(const perf::TimingModel& timing,
                              const gemm::KernelConfig& config,
                              std::size_t config_index,
-                             const gemm::GemmShape& shape,
-                             const RunnerOptions& options,
+                             const gemm::GemmShape& shape, int iterations,
+                             std::vector<double>& samples,
                              RunnerCounters* counters) {
   CellMeasurement result;
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(options.iterations));
-  double backoff = options.backoff_seconds;
-  for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     result.attempts = attempt + 1;
-    if (attempt > 0) {
-      // Retry with exponential back-off: give a glitching device (or its
-      // simulation) time to recover before burning another attempt.
-      if (counters != nullptr) {
-        aks::MutexLock lock(counters->backoff_mutex);
-        counters->backoff_seconds += backoff;
-      }
-      if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        backoff *= 2.0;
-      }
-      if (counters != nullptr) counters->retries.fetch_add(1);
-    }
+    if (attempt > 0 && counters != nullptr) counters->retries.fetch_add(1);
     faults::FaultScope scope(
         faults::site_bit(faults::Site::kKernelLaunch) |
             faults::site_bit(faults::Site::kHostTiming),
         cell_key(shape, config_index, attempt));
-    samples.clear();
-    for (int i = 0; i < options.iterations; ++i) {
+    // Time the whole window, then drop the runs a fault claimed; the
+    // survivors are compacted to the front of `samples`.
+    samples.resize(static_cast<std::size_t>(iterations));
+    timing.time_runs(
+        config, shape,
+        static_cast<std::uint64_t>(attempt) * samples.size(), samples);
+    std::size_t valid = 0;
+    for (const double run : samples) {
       try {
         faults::maybe_inject_launch_fault();
       } catch (const faults::LaunchFailure&) {
@@ -119,9 +93,7 @@ CellMeasurement measure_cell(const perf::TimingModel& timing,
         if (counters != nullptr) counters->hangs.fetch_add(1);
         continue;
       }
-      double t = timing.time_run(
-          config, shape,
-          static_cast<std::uint64_t>(attempt * options.iterations + i));
+      double t = run;
       if (const auto fault = faults::probe(faults::Site::kHostTiming)) {
         if (fault.kind == faults::FaultKind::kTimingOutlier) {
           t *= fault.magnitude;
@@ -130,29 +102,34 @@ CellMeasurement measure_cell(const perf::TimingModel& timing,
         }
       }
       if (std::isfinite(t) && t > 0.0) {
-        samples.push_back(t);
+        samples[valid++] = t;
       } else {
         ++result.nan_samples;
         if (counters != nullptr) counters->timing_nans.fetch_add(1);
       }
     }
-    // One valid sample is enough to aggregate, but keep retrying while a
-    // majority was lost — a mostly-faulted window is not trustworthy.
-    if (static_cast<int>(samples.size()) * 2 > options.iterations) break;
+    samples.resize(valid);
+    if (samples.empty()) continue;
+    std::size_t rejected = 0;
+    result.seconds = common::min_within_band(samples, kOutlierBand, &rejected);
+    result.outliers_rejected += static_cast<int>(rejected);
+    // Keep retrying while a majority of the window was lost (failed, NaN or
+    // outside the band): when most samples are faulted the median itself
+    // may be an outlier, so the window is not trustworthy.
+    const std::size_t kept = samples.size() - rejected;
+    if (kept * 2 > static_cast<std::size_t>(iterations)) break;
   }
-  if (samples.empty()) {
-    // Degradation of last resort: every attempt failed, so fall back to
+  if (counters != nullptr && result.outliers_rejected > 0) {
+    counters->outliers_rejected.fetch_add(
+        static_cast<std::uint64_t>(result.outliers_rejected));
+  }
+  if (result.seconds <= 0.0) {
+    // Degradation of last resort: no attempt kept a sample, so fall back to
     // the analytic noise-free prior rather than poisoning the dataset with
     // a NaN or aborting a 100k-cell sweep for one dead cell.
     result.fell_back = true;
     if (counters != nullptr) counters->cells_fell_back.fetch_add(1);
     result.seconds = timing.model().predict_seconds(config, shape);
-    return result;
-  }
-  result.seconds = reduce_samples(samples, options, &result.outliers_rejected);
-  if (counters != nullptr && result.outliers_rejected > 0) {
-    counters->outliers_rejected.fetch_add(
-        static_cast<std::uint64_t>(result.outliers_rejected));
   }
   return result;
 }
@@ -183,8 +160,10 @@ CellMeasurement measure_cell_robust(const perf::TimingModel& timing,
                                     const gemm::GemmShape& shape,
                                     const RunnerOptions& options) {
   AKS_CHECK(options.iterations > 0, "need at least one iteration");
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(options.iterations));
   return measure_cell(timing, config, gemm::config_index(config), shape,
-                      options, nullptr);
+                      options.iterations, samples, nullptr);
 }
 
 PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
@@ -194,11 +173,6 @@ PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
   AKS_CHECK(options.iterations > 0, "need at least one iteration");
   const auto& configs = gemm::enumerate_configs();
   const perf::TimingModel timing(device, options.noise_sigma, options.seed);
-
-  // The robust path engages only under an installed fault plan; without one
-  // the legacy best-of-N measurement below is bit-identical to previous
-  // releases (golden datasets and determinism tests depend on that).
-  const bool robust = faults::plan_active();
   RunnerCounters counters;
 
   common::Matrix times(shapes.size(), configs.size());
@@ -209,52 +183,50 @@ PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
   common::ThreadPool::global().parallel_for(
       shapes.size(), [&](std::size_t r) {
         const gemm::GemmShape& shape = shapes[r].shape;
+        std::vector<double> samples;
+        samples.reserve(static_cast<std::size_t>(options.iterations));
         const auto measure = [&](std::size_t c) {
-          return robust ? measure_cell(timing, configs[c], c, shape, options,
-                                       &counters)
-                              .seconds
-                        : timing.best_of(configs[c], shape,
-                                         options.iterations);
+          return measure_cell(timing, configs[c], c, shape, options.iterations,
+                              samples, &counters)
+              .seconds;
         };
         for (std::size_t c = 0; c < configs.size(); ++c) {
           times(r, c) = measure(c);
         }
-        if (robust) {
-          // Corrupt-row faults damage the assembled record *after*
-          // measurement (a truncated CSV write, a bit-flipped buffer).
-          // Recovery: re-measure the damaged cells, re-probe; after
-          // max_retries, repair survivors from the analytic prior so a
-          // non-finite row never ships.
-          const std::uint64_t row_key =
-              faults::mix_key(shape.m, shape.k, shape.n, 0xdadaULL);
-          for (int row_attempt = 0;; ++row_attempt) {
-            {
-              faults::FaultScope scope(
-                  faults::site_bit(faults::Site::kDatasetRow),
-                  faults::mix_key(row_key,
-                                  static_cast<std::uint64_t>(row_attempt)));
-              if (const auto fault = faults::probe(faults::Site::kDatasetRow);
-                  fault.kind == faults::FaultKind::kCorruptRow) {
-                corrupt_row(times, r, scope.key());
-                counters.rows_corrupted.fetch_add(1);
-              }
+        // Corrupt-row faults damage the assembled record *after*
+        // measurement (a truncated CSV write, a bit-flipped buffer).
+        // Recovery: re-measure the damaged cells, re-probe; after
+        // kMaxRetries, repair survivors from the analytic prior so a
+        // non-finite row never ships.
+        const std::uint64_t row_key =
+            faults::mix_key(shape.m, shape.k, shape.n, 0xdadaULL);
+        for (int row_attempt = 0;; ++row_attempt) {
+          {
+            faults::FaultScope scope(
+                faults::site_bit(faults::Site::kDatasetRow),
+                faults::mix_key(row_key,
+                                static_cast<std::uint64_t>(row_attempt)));
+            if (const auto fault = faults::probe(faults::Site::kDatasetRow);
+                fault.kind == faults::FaultKind::kCorruptRow) {
+              corrupt_row(times, r, scope.key());
+              counters.rows_corrupted.fetch_add(1);
             }
-            if (row_valid(times, r)) break;
-            const bool out_of_retries = row_attempt >= options.max_retries;
-            for (std::size_t c = 0; c < configs.size(); ++c) {
-              const double t = times(r, c);
-              if (std::isfinite(t) && t > 0.0) continue;
-              times(r, c) =
-                  out_of_retries
-                      ? timing.model().predict_seconds(configs[c], shape)
-                      : measure(c);
-            }
-            if (out_of_retries) {
-              counters.rows_repaired.fetch_add(1);
-              break;
-            }
-            counters.retries.fetch_add(1);
           }
+          if (row_valid(times, r)) break;
+          const bool out_of_retries = row_attempt >= kMaxRetries;
+          for (std::size_t c = 0; c < configs.size(); ++c) {
+            const double t = times(r, c);
+            if (std::isfinite(t) && t > 0.0) continue;
+            times(r, c) =
+                out_of_retries
+                    ? timing.model().predict_seconds(configs[c], shape)
+                    : measure(c);
+          }
+          if (out_of_retries) {
+            counters.rows_repaired.fetch_add(1);
+            break;
+          }
+          counters.retries.fetch_add(1);
         }
         if (options.progress) {
           aks::MutexLock lock(progress_mutex);

@@ -8,6 +8,13 @@
 //  * model mode — each (shape, config) run is timed by the perfmodel
 //    TimingModel (best-of-N with deterministic noise). This is the mode the
 //    shipped dataset uses; see DESIGN.md for the hardware substitution.
+//    Every cell goes through one measurement path: samples more than 2x
+//    from their window's median are dropped and the minimum of the rest is
+//    kept; a window in which most samples failed, came back NaN or left the
+//    band is re-measured, and a cell or row that cannot be measured falls
+//    back to the analytic model. Fault-free, no sample leaves the 2x band,
+//    so a cell equals TimingModel::best_of bit for bit; the same path
+//    absorbs injected faults (src/faults).
 //  * host mode — the configuration's kernel is actually executed on the
 //    syclrt host runtime and wall-clock timed. Used for correctness-scale
 //    problems and the kernel microbenchmarks, not the full sweep.
@@ -24,7 +31,8 @@
 namespace aks::data {
 
 struct RunnerOptions {
-  /// Timed iterations per (shape, config); the best is kept.
+  /// Timed iterations per (shape, config) window; the best sample within
+  /// the outlier band is kept.
   int iterations = 5;
   /// Lognormal sigma of the simulated measurement noise.
   double noise_sigma = 0.03;
@@ -36,27 +44,10 @@ struct RunnerOptions {
   /// output interleaving. `done` is the completion count at call time and
   /// is strictly increasing across the serialized calls.
   std::function<void(std::size_t done, std::size_t total)> progress;
-
-  // -- Robust measurement (active only under a fault plan; see src/faults).
-  // Without an installed plan the runner takes the legacy best-of-N path,
-  // bit-identical to previous releases.
-
-  /// Extra measurement attempts per cell (and per row, for corrupt-row
-  /// recovery) when faults leave too few valid samples.
-  int max_retries = 3;
-  /// Base back-off before a retry, doubled per attempt. The default 0 skips
-  /// sleeping — in model mode a retry has no device to cool down — but the
-  /// budget is still recorded in `runner.backoff_seconds`.
-  double backoff_seconds = 0.0;
-  /// Reduction applied to the MAD-filtered samples of a cell.
-  enum class Aggregate { kBestOf, kMedian, kTrimmedMean };
-  Aggregate aggregate = Aggregate::kBestOf;
-  /// MAD rejection threshold (scaled MADs from the median).
-  double mad_threshold = 3.5;
   /// Optional sink for the robustness counters: runner.launch_failures,
   /// runner.hangs, runner.timing_nans, runner.outliers_rejected,
   /// runner.retries, runner.cells_fell_back, runner.rows_corrupted,
-  /// runner.rows_repaired, runner.backoff_seconds. Must outlive the run.
+  /// runner.rows_repaired. Must outlive the run.
   common::MetricsRegistry* metrics = nullptr;
 };
 
@@ -77,12 +68,13 @@ struct CellMeasurement {
 };
 
 /// Robustly measures one (shape, config) cell against the timing model:
-/// retry-with-backoff around injected launch failures/hangs, NaN-sample
-/// rejection, MAD-based outlier rejection, then the configured reduction.
+/// the minimum of the samples within 2x of their window's median, with the
+/// window re-measured while most of it was lost to launch failures, hangs,
+/// NaNs or outliers. Equals
+/// TimingModel::best_of(config, shape, iterations) when no fault fires.
 /// Deterministic for a fixed fault plan: fault decisions are keyed on
-/// (shape, config, attempt), never on thread identity. Exposed for tests
-/// and the fault-matrix bench; run_model_benchmarks uses it per cell
-/// whenever a fault plan is active.
+/// (shape, config, attempt), never on thread identity. run_model_benchmarks
+/// measures every cell this way.
 [[nodiscard]] CellMeasurement measure_cell_robust(
     const perf::TimingModel& timing, const gemm::KernelConfig& config,
     const gemm::GemmShape& shape, const RunnerOptions& options = {});

@@ -199,16 +199,29 @@ TimingModel::TimingModel(DeviceSpec spec, double noise_sigma,
 double TimingModel::time_run(const gemm::KernelConfig& config,
                              const gemm::GemmShape& shape,
                              std::uint64_t iteration) const {
+  double seconds = 0.0;
+  time_runs(config, shape, iteration, {&seconds, 1});
+  return seconds;
+}
+
+void TimingModel::time_runs(const gemm::KernelConfig& config,
+                            const gemm::GemmShape& shape,
+                            std::uint64_t first_iteration,
+                            std::span<double> out) const {
   const double base = model_.predict_seconds(config, shape);
-  if (noise_sigma_ == 0.0) return base;
+  if (noise_sigma_ == 0.0) {
+    std::fill(out.begin(), out.end(), base);
+    return;
+  }
   std::uint64_t h = seed_;
   h = hash_combine(h, gemm::config_index(config));
   h = hash_combine(h, shape.m);
   h = hash_combine(h, shape.k);
   h = hash_combine(h, shape.n);
-  h = hash_combine(h, iteration);
-  common::Rng rng(h);
-  return rng.lognormal_median(base, noise_sigma_);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    common::Rng rng(hash_combine(h, first_iteration + i));
+    out[i] = rng.lognormal_median(base, noise_sigma_);
+  }
 }
 
 double TimingModel::best_of(const gemm::KernelConfig& config,

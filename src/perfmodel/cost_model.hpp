@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "gemm/config.hpp"
 #include "gemm/shape.hpp"
@@ -89,6 +90,12 @@ class TimingModel {
   [[nodiscard]] double time_run(const gemm::KernelConfig& config,
                                 const gemm::GemmShape& shape,
                                 std::uint64_t iteration = 0) const;
+
+  /// `out.size()` consecutive runs: out[i] = time_run(config, shape,
+  /// first_iteration + i), evaluating the cost model once for all of them.
+  void time_runs(const gemm::KernelConfig& config,
+                 const gemm::GemmShape& shape, std::uint64_t first_iteration,
+                 std::span<double> out) const;
 
   /// Best-of-N timing, the standard benchmarking reduction.
   [[nodiscard]] double best_of(const gemm::KernelConfig& config,

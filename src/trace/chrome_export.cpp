@@ -8,44 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 
 namespace aks::trace {
 
 namespace {
-
-void append_json_escaped(std::string& out, const char* s) {
-  if (s == nullptr) return;
-  for (const char* p = s; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void append_double(std::string& out, double v) {
   // JSON has no inf/nan literals; quote them so the document stays parseable.
@@ -66,7 +34,7 @@ void append_args(std::string& out, const Event& e) {
     const Arg& a = e.args[i];
     if (i > 0) out += ',';
     out += '"';
-    append_json_escaped(out, a.key != nullptr ? a.key : "");
+    out += common::json_escape(a.key != nullptr ? a.key : "");
     out += "\":";
     switch (a.type) {
       case ArgType::kUint:
@@ -80,7 +48,7 @@ void append_args(std::string& out, const Event& e) {
         break;
       case ArgType::kString:
         out += '"';
-        append_json_escaped(out, a.value.s != nullptr ? a.value.s : "");
+        out += common::json_escape(a.value.s != nullptr ? a.value.s : "");
         out += '"';
         break;
       case ArgType::kNone:
@@ -120,7 +88,7 @@ void write_chrome_trace_json(const std::vector<Event>& events,
     if (!first) doc += ',';
     first = false;
     doc += "{\"name\":\"";
-    append_json_escaped(doc, e.name != nullptr ? e.name : "");
+    doc += common::json_escape(e.name != nullptr ? e.name : "");
     doc += "\",\"ph\":\"";
     switch (e.type) {
       case EventType::kBegin:

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -43,107 +44,48 @@ TEST(StatsProperty, MedianIsWithinRangeAndOrderInvariant) {
   }
 }
 
-TEST(StatsProperty, MadRejectionRemovesPlantedOutliersOnly) {
+TEST(StatsProperty, BandMinIsPlainMinWhenSpreadWithinBand) {
+  // Samples spanning less than the band are all within it of the median:
+  // nothing is dropped and the result is the exact minimum.
   Rng rng(202);
-  for (int trial = 0; trial < 50; ++trial) {
-    // A tight cluster around a random center...
-    const double center = rng.uniform(1.0, 100.0);
-    const std::size_t n = 12 + rng.uniform_index(20);
-    std::vector<double> xs(n);
-    for (auto& x : xs) x = center * (1.0 + 0.01 * rng.uniform(-1.0, 1.0));
-    // ...plus up to three planted outliers far away.
-    const std::size_t planted = 1 + rng.uniform_index(3);
-    std::vector<std::size_t> outlier_at;
-    for (std::size_t p = 0; p < planted; ++p) {
-      const std::size_t i = rng.uniform_index(xs.size());
-      xs[i] = center * rng.uniform(20.0, 100.0);
-      outlier_at.push_back(i);
-    }
-    const auto keep = mad_keep_mask(xs, 3.5);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const bool is_planted = std::count(outlier_at.begin(), outlier_at.end(),
-                                         i) > 0;
-      if (is_planted) {
-        EXPECT_FALSE(keep[i]) << "planted outlier survived at " << i;
-      } else {
-        EXPECT_TRUE(keep[i]) << "inlier rejected at " << i;
-      }
-    }
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(20);
+    const double lo = rng.uniform(1e-6, 1.0);
+    auto xs = random_samples(rng, n, lo, 2.0 * lo);
+    const double expected = *std::min_element(xs.begin(), xs.end());
+    std::size_t rejected = 99;
+    EXPECT_EQ(min_within_band(xs, 2.0, &rejected), expected);
+    EXPECT_EQ(rejected, 0u);
   }
 }
 
-TEST(StatsProperty, MadRejectionNeverRemovesMoreThanCap) {
+TEST(StatsProperty, BandMinDropsOnlySamplesOutsideTheBand) {
   Rng rng(303);
   for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t n = 3 + rng.uniform_index(40);
-    // Adversarial spread: wildly varying magnitudes.
+    const std::size_t n = 1 + rng.uniform_index(20);
     std::vector<double> xs(n);
-    for (auto& x : xs) x = std::exp(rng.uniform(-10.0, 10.0));
-    const auto kept = reject_outliers_mad(xs, 3.5, 0.4);
-    EXPECT_GE(kept.size(),
-              xs.size() - static_cast<std::size_t>(0.4 * double(xs.size())));
-    EXPECT_FALSE(kept.empty());
-  }
-}
-
-TEST(StatsProperty, MadKeepsEverythingWhenHalfIdentical) {
-  // MAD is zero when at least half the values coincide; rejection must
-  // degrade to keep-all rather than dividing by zero.
-  std::vector<double> xs = {5.0, 5.0, 5.0, 5.0, 1e9, -1e9};
-  const auto keep = mad_keep_mask(xs, 3.5);
-  for (const bool k : keep) EXPECT_TRUE(k);
-}
-
-TEST(StatsProperty, TrimmedMeanEquivariantUnderTranslationAndScale) {
-  Rng rng(404);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t n = 5 + rng.uniform_index(30);
-    const auto xs = random_samples(rng, n, -10.0, 10.0);
-    const double base = trimmed_mean(xs, 0.2);
-    const double shift = rng.uniform(-100.0, 100.0);
-    const double scale = rng.uniform(0.1, 10.0);
-    std::vector<double> transformed(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      transformed[i] = scale * xs[i] + shift;
+    for (auto& x : xs) x = std::exp(rng.uniform(-3.0, 3.0));
+    const double med = median(xs);
+    std::size_t outside = 0;
+    double expected = std::numeric_limits<double>::infinity();
+    for (const double x : xs) {
+      if (x * 2.0 < med || x > 2.0 * med) {
+        ++outside;
+      } else {
+        expected = std::min(expected, x);
+      }
     }
-    EXPECT_NEAR(trimmed_mean(transformed, 0.2), scale * base + shift,
-                1e-9 * (1.0 + std::abs(scale * base + shift)));
+    std::size_t rejected = 0;
+    EXPECT_EQ(min_within_band(xs, 2.0, &rejected), expected);
+    EXPECT_EQ(rejected, outside);
+    EXPECT_LT(rejected, n);
   }
-}
-
-TEST(StatsProperty, TrimmedMeanMonotoneInSamples) {
-  // Raising any sample can never lower the trimmed mean.
-  Rng rng(505);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t n = 5 + rng.uniform_index(20);
-    auto xs = random_samples(rng, n, 0.0, 10.0);
-    const double base = trimmed_mean(xs, 0.2);
-    const std::size_t i = rng.uniform_index(xs.size());
-    xs[i] += rng.uniform(0.0, 100.0);
-    EXPECT_GE(trimmed_mean(xs, 0.2), base - 1e-12);
-  }
-}
-
-TEST(StatsProperty, TrimmedMeanBoundedByUntrimmedExtremes) {
-  Rng rng(606);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t n = 1 + rng.uniform_index(30);
-    const auto xs = random_samples(rng, n, -5.0, 5.0);
-    const double tm = trimmed_mean(xs, 0.2);
-    EXPECT_GE(tm, *std::min_element(xs.begin(), xs.end()) - 1e-12);
-    EXPECT_LE(tm, *std::max_element(xs.begin(), xs.end()) + 1e-12);
-  }
-}
-
-TEST(StatsProperty, MadMatchesHandComputedValue) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 100.0};
-  // median = 3, abs deviations = {2,1,0,1,97}, median = 1.
-  EXPECT_NEAR(mad(xs), 1.4826, 1e-12);
 }
 
 TEST(StatsProperty, RobustPipelineRecoversTrueValueUnderOutliers) {
-  // End-to-end property mirroring the measurement path: cluster + fast and
-  // slow outliers, MAD rejection then median lands near the true center.
+  // End-to-end property mirroring the measurement path: a cluster plus fast
+  // and slow outliers; dropping samples outside 2x of the median and taking
+  // the minimum lands near the true center.
   Rng rng(707);
   for (int trial = 0; trial < 50; ++trial) {
     const double truth = rng.uniform(1e-4, 1e-2);
@@ -154,11 +96,11 @@ TEST(StatsProperty, RobustPipelineRecoversTrueValueUnderOutliers) {
     xs.push_back(truth * 64.0);  // slow outlier
     xs.push_back(truth / 64.0);  // fast outlier (attacks best-of-N)
     rng.shuffle(xs);
-    const auto kept = reject_outliers_mad(xs, 3.5);
-    const double estimate = median(kept);
-    EXPECT_NEAR(estimate, truth, 0.05 * truth);
     // The naive best-of reduction is fooled by the fast outlier.
     EXPECT_LT(min_value(xs), 0.5 * truth);
+    std::size_t rejected = 0;
+    EXPECT_NEAR(min_within_band(xs, 2.0, &rejected), truth, 0.05 * truth);
+    EXPECT_EQ(rejected, 2u);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
@@ -53,6 +54,16 @@ TEST(Strings, Padding) {
   EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_left("abcdef", 4), "abcdef");
+}
+
+TEST(Json, EscapeQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape("\""), "\\\"");
+  EXPECT_EQ(json_escape("\\"), "\\\\");
+  EXPECT_EQ(json_escape("\n"), "\\n");
+  EXPECT_EQ(json_escape("\x01"), "\\u0001");
+  EXPECT_EQ(json_escape("\x1f"), "\\u001f");
+  EXPECT_EQ(json_escape("plain text"), "plain text");
+  EXPECT_EQ(json_escape(std::string_view("a\0b", 3)), "a\\u0000b");
 }
 
 TEST(Csv, RoundTripTable) {

@@ -9,6 +9,7 @@
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
 #include "dataset/benchmark_runner.hpp"
+#include "faults/injector.hpp"
 
 namespace aks::select {
 namespace {
@@ -16,6 +17,9 @@ namespace {
 class ExtensionsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // These bounds describe the fault-free dataset; pin it even when
+    // AKS_FAULT_PLAN is exported over the suite.
+    faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
     data::ExtractionOptions extraction;
     extraction.vgg_batches = {1};
     extraction.resnet_batches = {1};

@@ -58,6 +58,52 @@ TEST(OnlineTunerConcurrency, SingleThreadedStatsContractUnchanged) {
   EXPECT_GT(tuner.trial_seconds(), 0.0);
 }
 
+TEST(OnlineTuner, OutlierTrialSettlesCandidateInOneTimerCall) {
+  // A timing outlier is a valid (if wrong) time: the first valid time
+  // settles the candidate, so every candidate costs one timer call per
+  // sweep with or without a fault plan.
+  const auto plan = faults::FaultPlan::parse("seed=3,outlier=1");
+  faults::ScopedFaultPlan install(plan);
+  const std::vector<std::size_t> candidates = {0, 100, 250, 400, 639};
+  std::atomic<int> timer_calls{0};
+  OnlineTuner tuner(candidates,
+                    [&, timer = model_timer()](const gemm::KernelConfig& c,
+                                               const gemm::GemmShape& s) {
+                      timer_calls.fetch_add(1);
+                      return timer(c, s);
+                    });
+  const auto shapes = test_shapes(4);
+  for (const auto& shape : shapes) (void)tuner.select(shape);
+  EXPECT_EQ(timer_calls.load(),
+            static_cast<int>(shapes.size() * candidates.size()));
+  EXPECT_EQ(tuner.trial_failures(), 0u);
+  EXPECT_EQ(tuner.degraded_selects(), 0u);
+}
+
+TEST(OnlineTuner, FailingTrialRetriedUpToTrialAttempts) {
+  // Every launch fails: each candidate is tried kTrialAttempts times, then
+  // the sweep degrades to the fallback without throwing.
+  const auto plan = faults::FaultPlan::parse("seed=3,launch=1");
+  faults::ScopedFaultPlan install(plan);
+  const std::vector<std::size_t> candidates = {5, 200, 450};
+  std::atomic<int> timer_calls{0};
+  OnlineTuner tuner(candidates,
+                    [&, timer = model_timer()](const gemm::KernelConfig& c,
+                                               const gemm::GemmShape& s) {
+                      // As a host-mode launch through syclrt::Queue would.
+                      timer_calls.fetch_add(1);
+                      faults::maybe_inject_launch_fault();
+                      return timer(c, s);
+                    });
+  const auto config = tuner.select({256, 256, 256});
+  EXPECT_EQ(gemm::config_index(config), candidates.front());
+  const auto expected_calls =
+      static_cast<int>(candidates.size()) * OnlineTuner::kTrialAttempts;
+  EXPECT_EQ(timer_calls.load(), expected_calls);
+  EXPECT_EQ(tuner.trial_failures(), static_cast<std::size_t>(expected_calls));
+  EXPECT_EQ(tuner.degraded_selects(), 1u);
+}
+
 TEST(OnlineTunerConcurrency, ConcurrentSelectsAgreeOnEveryShape) {
   const std::vector<std::size_t> candidates = {0, 100, 250, 400, 639};
   OnlineTuner tuner(candidates, model_timer());

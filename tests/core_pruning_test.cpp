@@ -8,6 +8,7 @@
 #include "core/evaluation.hpp"
 #include "core/pruning.hpp"
 #include "dataset/benchmark_runner.hpp"
+#include "faults/injector.hpp"
 
 namespace aks::select {
 namespace {
@@ -16,6 +17,9 @@ namespace {
 class PruningTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // These bounds describe the fault-free dataset; pin it even when
+    // AKS_FAULT_PLAN is exported over the suite.
+    faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
     data::ExtractionOptions extraction;
     // Keep it small: single batch per network.
     extraction.vgg_batches = {1};
@@ -154,7 +158,7 @@ TEST_F(PruningTest, ValidityFilterRemovesLintedConfigs) {
   std::vector<bool> valid(dataset().num_configs(), true);
   valid[unfiltered[0]] = false;
 
-  ValidityFilteredPruner filtered(std::make_unique<TopNPruner>(), valid);
+  MaskedPruner filtered(std::make_unique<TopNPruner>(), valid, "+Lint");
   EXPECT_EQ(filtered.name(), "TopN+Lint");
   const auto configs = filtered.prune(dataset(), 8);
   EXPECT_EQ(configs.size(), 8u);
@@ -168,20 +172,20 @@ TEST_F(PruningTest, ValidityFilterClampsBudgetToSurvivors) {
   // Only three configurations survive the lint: the budget caps there.
   std::vector<bool> valid(dataset().num_configs(), false);
   valid[3] = valid[100] = valid[500] = true;
-  ValidityFilteredPruner filtered(std::make_unique<TopNPruner>(), valid);
+  MaskedPruner filtered(std::make_unique<TopNPruner>(), valid, "+Lint");
   const auto configs = filtered.prune(dataset(), 8);
   EXPECT_EQ(configs.size(), 3u);
   for (const auto c : configs) EXPECT_TRUE(valid[c]);
 }
 
 TEST_F(PruningTest, ValidityFilterRejectsDegenerateInputs) {
-  EXPECT_THROW(ValidityFilteredPruner(nullptr, {true}), common::Error);
-  EXPECT_THROW(ValidityFilteredPruner(std::make_unique<TopNPruner>(),
-                                      std::vector<bool>(640, false)),
+  EXPECT_THROW(MaskedPruner(nullptr, {true}, "+Lint"), common::Error);
+  EXPECT_THROW(MaskedPruner(std::make_unique<TopNPruner>(),
+                            std::vector<bool>(640, false), "+Lint"),
                common::Error);
   // Mask size must match the dataset.
-  ValidityFilteredPruner short_mask(std::make_unique<TopNPruner>(),
-                                    std::vector<bool>(10, true));
+  MaskedPruner short_mask(std::make_unique<TopNPruner>(),
+                          std::vector<bool>(10, true), "+Lint");
   EXPECT_THROW((void)short_mask.prune(dataset(), 4), common::Error);
 }
 
@@ -191,7 +195,7 @@ TEST_F(PruningTest, CertifiedPrunerDropsUncertifiedConfigs) {
   std::vector<bool> safe(dataset().num_configs(), true);
   safe[unfiltered[0]] = false;  // revoke the favourite's certificate
 
-  CertifiedPruner certified(std::make_unique<TopNPruner>(), safe);
+  MaskedPruner certified(std::make_unique<TopNPruner>(), safe, "+Certified");
   EXPECT_EQ(certified.name(), "TopN+Certified");
   const auto configs = certified.prune(dataset(), 8);
   EXPECT_EQ(configs.size(), 8u);
@@ -204,19 +208,19 @@ TEST_F(PruningTest, CertifiedPrunerDropsUncertifiedConfigs) {
 TEST_F(PruningTest, CertifiedPrunerClampsBudgetToCertifiedConfigs) {
   std::vector<bool> safe(dataset().num_configs(), false);
   safe[7] = safe[200] = safe[639] = true;
-  CertifiedPruner certified(std::make_unique<TopNPruner>(), safe);
+  MaskedPruner certified(std::make_unique<TopNPruner>(), safe, "+Certified");
   const auto configs = certified.prune(dataset(), 8);
   EXPECT_EQ(configs.size(), 3u);
   for (const auto c : configs) EXPECT_TRUE(safe[c]);
 }
 
 TEST_F(PruningTest, CertifiedPrunerRejectsDegenerateInputs) {
-  EXPECT_THROW(CertifiedPruner(nullptr, {true}), common::Error);
-  EXPECT_THROW(CertifiedPruner(std::make_unique<TopNPruner>(),
-                               std::vector<bool>(640, false)),
+  EXPECT_THROW(MaskedPruner(nullptr, {true}, "+Certified"), common::Error);
+  EXPECT_THROW(MaskedPruner(std::make_unique<TopNPruner>(),
+                            std::vector<bool>(640, false), "+Certified"),
                common::Error);
-  CertifiedPruner short_mask(std::make_unique<TopNPruner>(),
-                             std::vector<bool>(10, true));
+  MaskedPruner short_mask(std::make_unique<TopNPruner>(),
+                          std::vector<bool>(10, true), "+Certified");
   EXPECT_THROW((void)short_mask.prune(dataset(), 4), common::Error);
 }
 
@@ -227,10 +231,9 @@ TEST_F(PruningTest, CertifiedAndLintFiltersCompose) {
   std::vector<bool> safe(dataset().num_configs(), true);
   valid[10] = false;
   safe[20] = false;
-  CertifiedPruner pruner(
-      std::make_unique<ValidityFilteredPruner>(std::make_unique<TopNPruner>(),
-                                               valid),
-      safe);
+  MaskedPruner pruner(std::make_unique<MaskedPruner>(
+                          std::make_unique<TopNPruner>(), valid, "+Lint"),
+                      safe, "+Certified");
   EXPECT_EQ(pruner.name(), "TopN+Lint+Certified");
   const auto configs = pruner.prune(dataset(), 12);
   EXPECT_EQ(configs.size(), 12u);

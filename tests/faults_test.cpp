@@ -173,13 +173,33 @@ TEST(RobustMeasurement, CellStaysFiniteUnderHeavyFaults) {
   const gemm::GemmShape shape{256, 256, 256};
   data::RunnerOptions options;
   options.iterations = 5;
-  options.aggregate = data::RunnerOptions::Aggregate::kMedian;
 
   ScopedFaultPlan install(FaultPlan::mixed(0.6, 4));
   const auto cell = data::measure_cell_robust(timing, config, shape, options);
   EXPECT_TRUE(std::isfinite(cell.seconds));
   EXPECT_GT(cell.seconds, 0.0);
   EXPECT_GE(cell.attempts, 1);
+}
+
+TEST(RobustMeasurement, FaultFreeCellEqualsBestOf) {
+  // The one measurement path must reproduce best-of-N bit for bit when no
+  // fault fires: the committed golden dataset depends on it.
+  ScopedFaultPlan install(FaultPlan::none());
+  const perf::TimingModel timing(perf::DeviceSpec::amd_r9_nano(), 0.03, 42);
+  const auto corpus = data::extract_all_shapes();
+  ASSERT_GE(corpus.size(), 3u);
+  for (const std::size_t s : {std::size_t{0}, corpus.size() / 2,
+                              corpus.size() - 1}) {
+    const gemm::GemmShape& shape = corpus[s].shape;
+    for (const auto& config : gemm::enumerate_configs()) {
+      const auto cell = data::measure_cell_robust(timing, config, shape);
+      ASSERT_EQ(cell.seconds, timing.best_of(config, shape, 5))
+          << "shape " << s << " config " << gemm::config_index(config);
+      EXPECT_EQ(cell.attempts, 1);
+      EXPECT_EQ(cell.outliers_rejected, 0);
+      EXPECT_FALSE(cell.fell_back);
+    }
+  }
 }
 
 TEST(RobustMeasurement, CellFallsBackToModelWhenEveryLaunchFails) {
@@ -201,12 +221,9 @@ TEST(RobustMeasurement, MeasurementIsDeterministicUnderPlan) {
   const perf::TimingModel timing(perf::DeviceSpec::amd_r9_nano(), 0.03, 42);
   const auto& config = gemm::enumerate_configs()[250];
   const gemm::GemmShape shape{128, 512, 64};
-  data::RunnerOptions options;
-  options.aggregate = data::RunnerOptions::Aggregate::kTrimmedMean;
-
   const auto run = [&] {
     ScopedFaultPlan install(FaultPlan::timing_noise_heavy(0.4, 13));
-    return data::measure_cell_robust(timing, config, shape, options);
+    return data::measure_cell_robust(timing, config, shape);
   };
   const auto first = run();
   const auto second = run();

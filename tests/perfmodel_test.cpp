@@ -144,6 +144,12 @@ TEST(TimingModel, NoiseIsDeterministic) {
                    timing.time_run(config, shape, 3));
   EXPECT_NE(timing.time_run(config, shape, 3),
             timing.time_run(config, shape, 4));
+  // A window of runs draws the same noise as the runs one by one.
+  double window[3] = {};
+  timing.time_runs(config, shape, 3, window);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(window[i], timing.time_run(config, shape, 3 + i));
+  }
 }
 
 TEST(TimingModel, SeedChangesNoise) {

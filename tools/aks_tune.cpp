@@ -416,13 +416,10 @@ int cmd_serve(const Args& args) {
       });
   std::unique_ptr<select::KernelSelector> learned;
   std::unique_ptr<serve::SelectionService> service;
+  // Degradation contract: a failed warm-up answers with the tuner's
+  // guaranteed fallback instead of surfacing the error to clients.
   serve::ServiceOptions service_options;
-  if (faults::plan_active()) {
-    // Under an installed fault plan, serve the degradation contract: a
-    // failed warm-up answers with the tuner's guaranteed fallback instead
-    // of surfacing the error to clients.
-    service_options.fallback = tuner.fallback_config();
-  }
+  service_options.fallback = tuner.fallback_config();
   if (mode == "learned") {
     learned = std::make_unique<select::DecisionTreeSelector>();
     learned->fit(split.train, allowed);
