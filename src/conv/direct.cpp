@@ -9,12 +9,18 @@ namespace {
 inline std::size_t zu(int v) { return static_cast<std::size_t>(v); }
 }  // namespace
 
-void direct_conv2d(std::span<const float> input, std::span<const float> filter,
-                   std::span<float> output, const ConvShape& shape) {
-  AKS_CHECK(shape.batch > 0 && shape.in_channels > 0 && shape.out_channels > 0,
+void check_shape(const ConvShape& shape) {
+  AKS_CHECK(shape.batch > 0 && shape.in_height > 0 && shape.in_width > 0 &&
+                shape.in_channels > 0 && shape.out_channels > 0 &&
+                shape.kernel > 0 && shape.stride > 0,
             "degenerate conv shape");
   AKS_CHECK(shape.out_height() > 0 && shape.out_width() > 0,
             "conv produces empty output");
+}
+
+void direct_conv2d(std::span<const float> input, std::span<const float> filter,
+                   std::span<float> output, const ConvShape& shape) {
+  check_shape(shape);
   AKS_CHECK(input.size() == shape.input_size(), "input size mismatch");
   AKS_CHECK(filter.size() == shape.filter_size(), "filter size mismatch");
   AKS_CHECK(output.size() == shape.output_size(), "output size mismatch");

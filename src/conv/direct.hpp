@@ -46,8 +46,13 @@ struct ConvShape {
   }
 };
 
+/// The shape contract of every entry point in this module: batch, spatial
+/// extents, channels, kernel and stride positive, and a non-empty output.
+/// Throws common::Error otherwise.
+void check_shape(const ConvShape& shape);
+
 /// output[n, y, x, f] = sum_{ky, kx, c} input[n, sy+ky-p, sx+kx-p, c] *
-/// filter[ky, kx, c, f]; zero padding outside. Sizes are validated.
+/// filter[ky, kx, c, f]; zero padding outside. Shape and sizes are validated.
 void direct_conv2d(std::span<const float> input, std::span<const float> filter,
                    std::span<float> output, const ConvShape& shape);
 

@@ -20,6 +20,7 @@ gemm::GemmShape im2col_gemm_shape(const ConvShape& shape) {
 
 std::vector<float> im2col_transform(std::span<const float> input,
                                     const ConvShape& shape) {
+  check_shape(shape);
   AKS_CHECK(input.size() == shape.input_size(), "input size mismatch");
   const auto gemm_shape = im2col_gemm_shape(shape);
   std::vector<float> patches(gemm_shape.m * gemm_shape.k, 0.0f);
@@ -59,17 +60,14 @@ void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
                    std::span<const float> input, std::span<const float> filter,
                    std::span<float> output, const ConvShape& shape) {
   im2col_conv2d(queue, config, input, filter, output, shape,
-                [](syclrt::Queue& q, const gemm::KernelConfig& cfg,
-                   std::span<const float> a, std::span<const float> b,
-                   std::span<float> c, const gemm::GemmShape& s) {
-                  return gemm::launch_gemm(q, cfg, a, b, c, s);
-                });
+                gemm::launch_gemm);
 }
 
 void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
                    std::span<const float> input, std::span<const float> filter,
                    std::span<float> output, const ConvShape& shape,
                    const GemmLaunchFn& launch) {
+  check_shape(shape);
   AKS_CHECK(filter.size() == shape.filter_size(), "filter size mismatch");
   AKS_CHECK(output.size() == shape.output_size(), "output size mismatch");
   const auto patches = im2col_transform(input, shape);

@@ -1,16 +1,16 @@
-// Convolution as GEMM via the Winograd F(2x2, 3x3) transformation.
+// Convolution as GEMM via the Winograd F(m x m, 3x3) transformation.
 //
 // For a dense 3x3 stride-1 convolution the Winograd algorithm lowers each
-// batch of 2x2 output tiles to sixteen independent GEMMs of identical shape
-// [tiles x in_c] * [in_c x out_c] — the second family of GEMM shapes the
-// dataset layer extracts. Transform matrices (Lavin & Gray notation):
-//
-//   B^T = | 1  0 -1  0 |   G = | 1    0    0  |   A^T = | 1 1  1  0 |
-//         | 0  1  1  0 |       | 1/2  1/2  1/2|         | 0 1 -1 -1 |
-//         | 0 -1  1  0 |       | 1/2 -1/2  1/2|
-//         | 0  1  0 -1 |       | 0    0    1  |
+// batch of m x m output tiles to (m+2)^2 independent GEMMs of identical
+// shape [tiles x in_c] * [in_c x out_c]. F(2x2, 3x3) is the second family of
+// GEMM shapes the dataset layer extracts; F(4x4, 3x3) is an extension the
+// ConvEngine considers as a third lowering. With Lavin & Gray's transform
+// matrices B^T, G and A^T:
 //
 //   V = B^T d B (input tiles), U = G g G^T (filter), Y = A^T (U .* V) A.
+//
+// One implementation serves both tile sizes; the matrices are tabled in
+// winograd.cpp.
 #pragma once
 
 #include <functional>
@@ -32,22 +32,25 @@ using BatchedGemmLaunchFn = std::function<syclrt::Event(
     std::size_t)>;
 
 /// Batch counts of the batched GEMM launches: one multiply per position of
-/// the element-wise product, (tile+2)^2 positions for F(tile x tile, 3x3).
-/// These are the `batch` values the symbolic access verifier quantifies the
+/// the element-wise product, (m+2)^2 positions for F(m x m, 3x3). These are
+/// the `batch` values the symbolic access verifier quantifies the
 /// batched-launch summaries over (see src/check/symbolic).
-inline constexpr std::size_t kWinogradF2Multiplies = 16;  // 4x4 positions
-inline constexpr std::size_t kWinogradF4Multiplies = 36;  // 6x6 positions
+template <int M>
+inline constexpr auto kWinogradMultiplies =
+    static_cast<std::size_t>((M + 2) * (M + 2));
+inline constexpr std::size_t kWinogradF2Multiplies = kWinogradMultiplies<2>;
+inline constexpr std::size_t kWinogradF4Multiplies = kWinogradMultiplies<4>;
 
 /// True when the Winograd path supports the convolution (3x3, stride 1).
 [[nodiscard]] bool winograd_applicable(const ConvShape& shape);
 
-/// Shape of each of the sixteen batched GEMMs (matches
-/// data::winograd_shape).
+/// Shape of each of the sixteen F(2x2,3x3) multiplies:
+/// M = batch * ceil(out_h/2) * ceil(out_w/2), K = in_c, N = out_c.
 [[nodiscard]] gemm::GemmShape winograd_gemm_shape(const ConvShape& shape);
 
 /// Runs the convolution via Winograd F(2x2, 3x3), executing the sixteen
 /// multiplies with the tiled GEMM kernel `config`. Output layout matches
-/// direct_conv2d. Throws when the shape is not applicable.
+/// direct_conv2d. Throws when the shape is invalid or not applicable.
 void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
                      std::span<const float> input,
                      std::span<const float> filter, std::span<float> output,
@@ -59,12 +62,6 @@ void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
                      std::span<const float> filter, std::span<float> output,
                      const ConvShape& shape,
                      const BatchedGemmLaunchFn& launch);
-
-// --- F(4x4, 3x3) extension -------------------------------------------------
-// Larger output tiles (4x4 from 6x6 input tiles, 36 multiplies) cut the
-// multiply count by up to 4x at the price of more transform work and less
-// numerical headroom. Not part of the paper's dataset; the ConvEngine
-// considers it as a third lowering.
 
 /// Shape of each of the thirty-six F(4x4,3x3) multiplies:
 /// M = batch * ceil(out_h/4) * ceil(out_w/4), K = in_c, N = out_c.

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "conv/direct.hpp"
 #include "core/selector.hpp"
@@ -21,6 +22,19 @@
 
 namespace aks::select {
 
+/// One way to run a convolution as GEMM work: the transform, the shape of
+/// the GEMM it produces and how many such multiplies one launch batches.
+struct Lowering {
+  data::Transform transform = data::Transform::kIm2col;
+  gemm::GemmShape gemm_shape;
+  std::size_t multiplies = 1;
+};
+
+/// Every lowering of `shape`: im2col always, then Winograd F(2x2,3x3) and
+/// F(4x4,3x3) for 3x3 stride-1 convolutions. Throws common::Error when the
+/// shape breaks conv::check_shape.
+[[nodiscard]] std::vector<Lowering> conv_lowerings(const conv::ConvShape& shape);
+
 class ConvEngine {
  public:
   /// The engine shares ownership of the selector (typically the pipeline's
@@ -28,7 +42,8 @@ class ConvEngine {
   ConvEngine(std::shared_ptr<const KernelSelector> selector,
              perf::CostModel cost_model);
 
-  /// The lowering and kernel configuration the engine would use.
+  /// The lowering and kernel configuration the engine would use: the
+  /// conv_lowerings() candidate with the least modelled time.
   struct Plan {
     data::Transform transform = data::Transform::kIm2col;
     gemm::KernelConfig config;

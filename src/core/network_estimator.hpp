@@ -48,8 +48,8 @@ struct NetworkEstimate {
 
 /// Estimates every GEMM-lowerable layer of `network` at `batch`, using
 /// `engine` for the deployed plan and `fixed` as the no-selection baseline
-/// configuration. Depthwise convolutions are skipped (no dense GEMM
-/// lowering). FC layers are included.
+/// configuration. Grouped (e.g. depthwise) convolutions are skipped (no
+/// dense GEMM lowering). FC layers are included.
 [[nodiscard]] NetworkEstimate estimate_network(const ConvEngine& engine,
                                                const perf::CostModel& model,
                                                const data::Network& network,

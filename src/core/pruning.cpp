@@ -200,19 +200,6 @@ std::vector<std::size_t> MaskedPruner::prune(const data::PerfDataset& train,
   return finalize_selection(std::move(chosen), train, budget);
 }
 
-std::vector<std::size_t> drop_quarantined(
-    const std::vector<std::size_t>& candidates,
-    const std::vector<std::size_t>& quarantined) {
-  const std::set<std::size_t> bad(quarantined.begin(), quarantined.end());
-  std::vector<std::size_t> out;
-  out.reserve(candidates.size());
-  for (const std::size_t c : candidates) {
-    if (bad.count(c) == 0) out.push_back(c);
-  }
-  if (out.empty() && !candidates.empty()) out.push_back(candidates.front());
-  return out;
-}
-
 std::vector<std::unique_ptr<ConfigPruner>> all_pruners(std::uint64_t seed) {
   std::vector<std::unique_ptr<ConfigPruner>> pruners;
   pruners.push_back(std::make_unique<TopNPruner>());

@@ -1,6 +1,8 @@
 #include "dataset/lowering.hpp"
 
 #include "common/error.hpp"
+#include "conv/im2col.hpp"
+#include "conv/winograd.hpp"
 
 namespace aks::data {
 
@@ -14,31 +16,22 @@ std::string to_string(Transform t) {
   return "?";
 }
 
+conv::ConvShape conv_shape(const ConvLayer& conv, int batch) {
+  return {batch, conv.in_height, conv.in_width, conv.in_channels,
+          conv.out_channels, conv.kernel, conv.stride, conv.padding};
+}
+
 std::optional<gemm::GemmShape> im2col_shape(const ConvLayer& conv, int batch) {
   AKS_CHECK(batch > 0, "batch must be positive");
   if (conv.groups != 1) return std::nullopt;
-  gemm::GemmShape shape;
-  shape.m = static_cast<std::size_t>(batch) *
-            static_cast<std::size_t>(conv.out_height()) *
-            static_cast<std::size_t>(conv.out_width());
-  shape.k = static_cast<std::size_t>(conv.in_channels) *
-            static_cast<std::size_t>(conv.kernel) *
-            static_cast<std::size_t>(conv.kernel);
-  shape.n = static_cast<std::size_t>(conv.out_channels);
-  return shape;
+  return conv::im2col_gemm_shape(conv_shape(conv, batch));
 }
 
 std::optional<gemm::GemmShape> winograd_shape(const ConvLayer& conv,
                                               int batch) {
   AKS_CHECK(batch > 0, "batch must be positive");
   if (!conv.winograd_applicable()) return std::nullopt;
-  const auto tiles_h = static_cast<std::size_t>((conv.out_height() + 1) / 2);
-  const auto tiles_w = static_cast<std::size_t>((conv.out_width() + 1) / 2);
-  gemm::GemmShape shape;
-  shape.m = static_cast<std::size_t>(batch) * tiles_h * tiles_w;
-  shape.k = static_cast<std::size_t>(conv.in_channels);
-  shape.n = static_cast<std::size_t>(conv.out_channels);
-  return shape;
+  return conv::winograd_gemm_shape(conv_shape(conv, batch));
 }
 
 gemm::GemmShape fc_shape(const FcLayer& fc, int batch) {

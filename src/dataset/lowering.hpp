@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "conv/direct.hpp"
 #include "dataset/networks.hpp"
 #include "gemm/shape.hpp"
 
@@ -31,15 +32,20 @@ struct LoweredGemm {
   int batch = 1;
 };
 
+/// The convolution `conv` executes at `batch` (groups are not carried: a
+/// ConvShape is always dense).
+[[nodiscard]] conv::ConvShape conv_shape(const ConvLayer& conv, int batch);
+
 /// im2col: C[M x N] with M = batch * out_h * out_w, K = in_c * k * k,
-/// N = out_c. Returns nullopt for depthwise convolutions (grouped
-/// convolutions do not lower to one dense GEMM).
+/// N = out_c (conv::im2col_gemm_shape). Returns nullopt for grouped
+/// convolutions, which do not lower to one dense GEMM.
 [[nodiscard]] std::optional<gemm::GemmShape> im2col_shape(
     const ConvLayer& conv, int batch);
 
 /// Winograd F(2x2, 3x3): sixteen batched multiplies of identical shape
-/// M = batch * ceil(out_h/2) * ceil(out_w/2), K = in_c, N = out_c.
-/// Returns nullopt when the layer is not a dense 3x3 stride-1 convolution.
+/// M = batch * ceil(out_h/2) * ceil(out_w/2), K = in_c, N = out_c
+/// (conv::winograd_gemm_shape). Returns nullopt when the layer is not a
+/// dense 3x3 stride-1 convolution.
 [[nodiscard]] std::optional<gemm::GemmShape> winograd_shape(
     const ConvLayer& conv, int batch);
 

@@ -182,6 +182,19 @@ INSTANTIATE_TEST_SUITE_P(
       return "case" + std::to_string(param_info.index);
     });
 
+TEST(ConvShapeContract, Im2colRejectsEmptyOutput) {
+  // A 1x1 input under an unpadded 3x3 kernel has out_height() == -1; the
+  // size_t wrap made output_size() look non-empty.
+  const auto shape = conv_case(1, 1, 2, 2, 3, 1, 0);
+  std::vector<float> input(shape.input_size());
+  std::vector<float> filter(shape.filter_size());
+  std::vector<float> output(shape.output_size());
+  syclrt::Queue queue;
+  EXPECT_THROW(im2col_conv2d(queue, {2, 2, 2, 8, 8}, input, filter, output,
+                             shape),
+               common::Error);
+}
+
 TEST(Winograd, ApplicabilityRules) {
   EXPECT_TRUE(winograd_applicable(conv_case(1, 8, 4, 4, 3, 1, 1)));
   EXPECT_FALSE(winograd_applicable(conv_case(1, 8, 4, 4, 3, 2, 1)));
@@ -222,10 +235,34 @@ INSTANTIATE_TEST_SUITE_P(
         Im2colCase{conv_case(1, 7, 4, 6, 3, 1, 1), {1, 4, 8, 8, 16}},  // odd
         Im2colCase{conv_case(2, 10, 6, 5, 3, 1, 0), {4, 4, 4, 8, 8}},  // no pad
         Im2colCase{conv_case(1, 13, 2, 9, 3, 1, 1), {8, 1, 2, 16, 8}},
-        Im2colCase{conv_case(2, 6, 8, 8, 3, 1, 1), {2, 8, 4, 1, 64}}),
+        Im2colCase{conv_case(2, 6, 8, 8, 3, 1, 1), {2, 8, 4, 1, 64}},
+        Im2colCase{conv_case(1, 3, 4, 6, 3, 1, 0), {2, 2, 2, 8, 8}},  // 1x1 out
+        Im2colCase{conv_case(2, 5, 3, 7, 3, 1, 0), {1, 4, 8, 8, 16}}),  // 3x3
     [](const auto& param_info) {
       return "case" + std::to_string(param_info.index);
     });
+
+TEST(Winograd, F2ExactOnIntegerData) {
+  // Every F(2x2,3x3) transform coefficient is 0, +-1 or 1/2, so on small
+  // integers every intermediate is exact and so must be the output.
+  const auto shape = conv_case(2, 7, 3, 5, 3, 1, 1);
+  common::Rng rng(19);
+  std::vector<float> input(shape.input_size());
+  std::vector<float> filter(shape.filter_size());
+  const auto small_int = [&rng] {
+    return static_cast<float>(rng.uniform_index(7)) - 3.0f;  // -3 .. 3
+  };
+  for (auto& v : input) v = small_int();
+  for (auto& v : filter) v = small_int();
+  std::vector<float> expected(shape.output_size());
+  direct_conv2d(input, filter, expected, shape);
+  std::vector<float> output(shape.output_size());
+  syclrt::Queue queue;
+  winograd_conv2d(queue, {2, 2, 2, 8, 8}, input, filter, output, shape);
+  for (std::size_t i = 0; i < output.size(); ++i) {
+    EXPECT_EQ(output[i], expected[i]) << "element " << i;
+  }
+}
 
 TEST(Winograd, RejectsInapplicableShape) {
   const auto shape = conv_case(1, 8, 4, 4, 3, 2, 1);
@@ -257,7 +294,9 @@ INSTANTIATE_TEST_SUITE_P(
         Im2colCase{conv_case(1, 9, 4, 6, 3, 1, 1), {1, 4, 8, 8, 16}},   // odd
         Im2colCase{conv_case(2, 14, 6, 5, 3, 1, 0), {4, 4, 4, 8, 8}},   // no pad
         Im2colCase{conv_case(1, 7, 2, 9, 3, 1, 1), {8, 1, 2, 16, 8}},   // tail
-        Im2colCase{conv_case(2, 8, 8, 8, 3, 1, 1), {2, 8, 4, 1, 64}}),
+        Im2colCase{conv_case(2, 8, 8, 8, 3, 1, 1), {2, 8, 4, 1, 64}},
+        Im2colCase{conv_case(1, 3, 4, 6, 3, 1, 0), {2, 2, 2, 8, 8}},  // 1x1 out
+        Im2colCase{conv_case(2, 5, 3, 7, 3, 1, 0), {1, 4, 8, 8, 16}}),  // 3x3
     [](const auto& param_info) {
       return "case" + std::to_string(param_info.index);
     });

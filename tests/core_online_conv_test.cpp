@@ -155,6 +155,16 @@ TEST_F(ConvEngineTest, PlanFallsBackToIm2colWhenWinogradInapplicable) {
   EXPECT_EQ(engine().plan(pointwise).transform, data::Transform::kIm2col);
 }
 
+TEST_F(ConvEngineTest, PlanRejectsZeroStride) {
+  // Stride 0 used to divide by zero computing the im2col GEMM shape.
+  conv::ConvShape shape;
+  shape.in_height = shape.in_width = 8;
+  shape.in_channels = shape.out_channels = 4;
+  shape.kernel = 3;
+  shape.stride = 0;
+  EXPECT_THROW((void)engine().plan(shape), common::Error);
+}
+
 TEST_F(ConvEngineTest, RunProducesCorrectConvolution) {
   conv::ConvShape shape;
   shape.batch = 2;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/online.hpp"
-#include "core/pruning.hpp"
 #include "faults/injector.hpp"
 #include "perfmodel/cost_model.hpp"
 #include "serve/selection_service.hpp"
@@ -309,16 +308,6 @@ TEST(OnlineTunerConcurrency, QuarantineRecoversWhenFaultsStop) {
   const auto config = tuner.select({96, 96, 96});
   EXPECT_LT(gemm::config_index(config), gemm::enumerate_configs().size());
   EXPECT_TRUE(tuner.quarantined().empty());
-}
-
-TEST(OnlineTunerConcurrency, DropQuarantinedPreservesOrderAndNeverEmpties) {
-  const std::vector<std::size_t> candidates = {3, 7, 11, 15};
-  EXPECT_EQ(select::drop_quarantined(candidates, {7, 15}),
-            (std::vector<std::size_t>{3, 11}));
-  EXPECT_EQ(select::drop_quarantined(candidates, {}), candidates);
-  // Dropping everything keeps the first original as guaranteed fallback.
-  EXPECT_EQ(select::drop_quarantined(candidates, {3, 7, 11, 15}),
-            (std::vector<std::size_t>{3}));
 }
 
 }  // namespace
