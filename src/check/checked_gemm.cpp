@@ -320,14 +320,10 @@ RegistryCheckSummary check_registry(const RegistryCheckOptions& options) {
     }
     // The batched kernel shares the compiled instantiation; replay it once
     // per config on a small ragged batch.
-    if (options.include_batched) {
-      absorb(check_batched_gemm(config, {9, 5, 7}, 3));
-    }
+    absorb(check_batched_gemm(config, {9, 5, 7}, 3));
   }
-  if (options.include_hierarchical) {
-    for (const auto& shape : shapes) {
-      absorb(check_hierarchical_gemm(shape));
-    }
+  for (const auto& shape : shapes) {
+    absorb(check_hierarchical_gemm(shape));
   }
   return summary;
 }

@@ -84,10 +84,6 @@ struct RegistryCheckOptions {
   std::vector<gemm::GemmShape> shapes;
   /// Check only the first N configurations (0 = all 640).
   std::size_t max_configs = 0;
-  /// Also replay the batched kernel for each compiled instantiation.
-  bool include_batched = true;
-  /// Also replay the hierarchical kernel over the corpus.
-  bool include_hierarchical = true;
 };
 
 struct RegistryCheckSummary {
@@ -101,8 +97,9 @@ struct RegistryCheckSummary {
   }
 };
 
-/// Sweeps the kernel zoo (registry configurations x shape corpus) through
-/// the checked execution mode. Numerical divergence beyond tolerance is
+/// Sweeps the kernel zoo (registry configurations x shape corpus, plus one
+/// batched replay per config and the hierarchical kernel over the corpus)
+/// through the checked execution mode. Numerical divergence beyond tolerance is
 /// folded into `findings` so one flag gates everything.
 [[nodiscard]] RegistryCheckSummary check_registry(
     const RegistryCheckOptions& options = {});

@@ -1,7 +1,7 @@
 // Diagnostic vocabulary of the akscheck analysis passes.
 //
-// Every finding — from the checked execution mode or the static config
-// lint — is one `Diagnostic` carrying a machine-matchable class plus the
+// Every finding — from the checked execution mode or the symbolic
+// verifier — is one `Diagnostic` carrying a machine-matchable class plus the
 // attribution needed to reproduce it: kernel/config name, buffer label,
 // element index and the work-group(s) involved. The CLI, the CI gate and
 // the negative tests all key off `Diagnostic::kind`, so the classes are the
@@ -28,7 +28,7 @@ enum class DiagnosticKind {
   write_write_race,
   /// One work-group read an element another work-group wrote.
   read_write_race,
-  /// A (config, device) pair rejected by the static config lint.
+  /// A (config, device) pair over a device capacity limit (check_capacity).
   invalid_config,
   /// Kernel output diverged from the scalar reference beyond tolerance.
   numeric_divergence,
@@ -50,7 +50,7 @@ struct Diagnostic {
   DiagnosticKind kind = DiagnosticKind::out_of_bounds;
   /// Kernel or configuration under analysis (e.g. "t4x2_a8_wg16x8").
   std::string kernel;
-  /// Label of the buffer involved ("A", "B", "C"); empty for lint findings.
+  /// Label of the buffer involved ("A", "B", "C"); empty for capacity findings.
   std::string buffer;
   /// Element index within the buffer (buffer-global, not view-relative).
   std::size_t index = 0;

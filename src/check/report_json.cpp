@@ -26,38 +26,13 @@ std::string_view level_of(symbolic::Verdict verdict) {
   return "error";
 }
 
-void open_run(std::ostringstream& os, std::string_view tool) {
-  os << "{\n  \"version\": \"" << kSchemaVersion << "\",\n"
-     << "  \"tool\": \"" << tool << "\",\n";
-}
-
 }  // namespace
-
-std::string to_json(const LintReport& report) {
-  std::ostringstream os;
-  open_run(os, "akscheck-lint");
-  os << "  \"configs_checked\": " << report.configs_checked << ",\n"
-     << "  \"devices_checked\": " << report.devices_checked << ",\n"
-     << "  \"results\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const LintFinding& finding = report.findings[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {";
-    append_kv(os, "ruleId", to_string(finding.rule));
-    append_kv(os, "level", "error");
-    os << "\"configIndex\": " << finding.config_index << ", ";
-    append_kv(os, "config", finding.config);
-    append_kv(os, "device", finding.device);
-    append_kv(os, "message", finding.message, /*trailing_comma=*/false);
-    os << "}";
-  }
-  os << (report.findings.empty() ? "]\n" : "\n  ]\n") << "}";
-  return os.str();
-}
 
 std::string to_json(const symbolic::CertifyReport& report) {
   std::ostringstream os;
-  open_run(os, "akscheck-certify");
-  os << "  \"configs_checked\": " << report.configs_checked << ",\n"
+  os << "{\n  \"version\": \"" << kSchemaVersion << "\",\n"
+     << "  \"tool\": \"akscheck-certify\",\n"
+     << "  \"configs_checked\": " << report.configs_checked << ",\n"
      << "  \"devices_checked\": " << report.devices_checked << ",\n"
      << "  \"safe\": " << report.count(symbolic::Verdict::safe) << ",\n"
      << "  \"unsafe\": " << report.count(symbolic::Verdict::unsafe) << ",\n"

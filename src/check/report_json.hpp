@@ -1,7 +1,7 @@
 // SARIF-ish JSON serialisation of the static-analysis reports.
 //
 // CI dashboards and editor integrations consume static-analysis results as
-// JSON; this module renders the lint and certify reports in a small
+// JSON; this module renders the certify report in a small
 // SARIF-inspired schema (one "run" with the tool name and a flat "results"
 // array; each result carries ruleId, level, the config and device it
 // applies to, the shape precondition or counterexample, and a message).
@@ -10,22 +10,18 @@
 // strings with common::json_escape.
 //
 //   level mapping:  SAFE -> "note", UNKNOWN -> "warning",
-//                   UNSAFE / lint finding -> "error".
+//                   UNSAFE -> "error".
 #pragma once
 
 #include <filesystem>
 #include <string>
 
-#include "check/config_lint.hpp"
 #include "check/symbolic/certificate.hpp"
 #include "common/json.hpp"
 
 namespace aks::check {
 
 using common::json_escape;
-
-/// Renders a lint report: every finding becomes an "error" result.
-[[nodiscard]] std::string to_json(const LintReport& report);
 
 /// Renders a certify report: one result per certificate, level by verdict.
 [[nodiscard]] std::string to_json(const symbolic::CertifyReport& report);

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "check/checked_gemm.hpp"
-#include "check/config_lint.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "gemm/access_metadata.hpp"
@@ -47,29 +46,26 @@ bool is_capacity_rule(const std::string& rule) {
 }
 
 /// Device-independent access verification of one configuration: the tiled
-/// summary plus (optionally) the batched one, findings concatenated.
-VerifyResult verify_config_access(const gemm::KernelConfig& config,
-                                  bool include_batched) {
+/// summary plus the batched one, findings concatenated.
+VerifyResult verify_config_access(const gemm::KernelConfig& config) {
   const auto pattern = gemm::tiled_access_pattern(config);
   VerifyResult result = verify_access_summary(summarize_tiled_gemm(pattern));
-  if (include_batched) {
-    VerifyResult batched =
-        verify_access_summary(summarize_batched_tiled_gemm(pattern));
-    for (auto& finding : batched.findings) {
-      result.findings.push_back(std::move(finding));
-    }
-    if (batched.verdict == Verdict::unsafe ||
-        (batched.verdict == Verdict::unknown &&
-         result.verdict == Verdict::safe)) {
-      result.verdict = batched.verdict;
-      result.precondition.clear();
-    }
-    for (const auto& shape : batched.replay_candidates) {
-      if (std::find(result.replay_candidates.begin(),
-                    result.replay_candidates.end(),
-                    shape) == result.replay_candidates.end()) {
-        result.replay_candidates.push_back(shape);
-      }
+  VerifyResult batched =
+      verify_access_summary(summarize_batched_tiled_gemm(pattern));
+  for (auto& finding : batched.findings) {
+    result.findings.push_back(std::move(finding));
+  }
+  if (batched.verdict == Verdict::unsafe ||
+      (batched.verdict == Verdict::unknown &&
+       result.verdict == Verdict::safe)) {
+    result.verdict = batched.verdict;
+    result.precondition.clear();
+  }
+  for (const auto& shape : batched.replay_candidates) {
+    if (std::find(result.replay_candidates.begin(),
+                  result.replay_candidates.end(),
+                  shape) == result.replay_candidates.end()) {
+      result.replay_candidates.push_back(shape);
     }
   }
   return result;
@@ -85,14 +81,18 @@ std::size_t CertifyReport::count(Verdict verdict) const {
 
 std::vector<bool> CertifyReport::safe_mask(std::size_t num_configs,
                                            const std::string& device) const {
-  std::vector<bool> safe(num_configs, true);
+  std::vector<bool> certified(num_configs, false);
+  std::vector<bool> refuted(num_configs, false);
   for (const auto& cert : certificates) {
+    if (cert.config_index >= num_configs) continue;
     if (!device.empty() && cert.device != device) continue;
-    if (cert.verdict != Verdict::safe && cert.config_index < num_configs) {
-      safe[cert.config_index] = false;
-    }
+    certified[cert.config_index] = true;
+    if (cert.verdict != Verdict::safe) refuted[cert.config_index] = true;
   }
-  return safe;
+  for (std::size_t i = 0; i < num_configs; ++i) {
+    certified[i] = certified[i] && !refuted[i];
+  }
+  return certified;
 }
 
 void CertifyReport::save_csv(const std::filesystem::path& path) const {
@@ -153,23 +153,17 @@ CertifyReport CertifyReport::load_csv(const std::filesystem::path& path) {
 }
 
 CertifyReport certify_space(std::span<const gemm::KernelConfig> configs,
-                            std::span<const perf::DeviceSpec> devices,
-                            const CertifyOptions& options) {
-  std::size_t num_configs = configs.size();
-  if (options.max_configs > 0) {
-    num_configs = std::min(num_configs, options.max_configs);
-  }
+                            std::span<const perf::DeviceSpec> devices) {
   CertifyReport report;
-  report.configs_checked = num_configs;
+  report.configs_checked = configs.size();
   report.devices_checked = devices.size();
 
-  for (std::size_t i = 0; i < num_configs; ++i) {
+  for (std::size_t i = 0; i < configs.size(); ++i) {
     const gemm::KernelConfig& config = configs[i];
-    const VerifyResult access =
-        verify_config_access(config, options.include_batched);
+    const VerifyResult access = verify_config_access(config);
 
     bool replay_clean = true;
-    if (access.verdict == Verdict::unknown && options.escalate_unknown) {
+    if (access.verdict == Verdict::unknown) {
       for (const auto& shape : access.replay_candidates) {
         const CheckResult replay = check_gemm(config, gemm_shape_of(shape));
         if (!replay.findings.empty()) replay_clean = false;
@@ -214,7 +208,7 @@ CertifyReport certify_space(std::span<const gemm::KernelConfig> configs,
 
 DifferentialResult differential_check(
     const CertifyReport& report, std::span<const gemm::KernelConfig> configs,
-    std::span<const perf::DeviceSpec> devices, std::size_t samples) {
+    std::size_t samples) {
   DifferentialResult result;
   const std::size_t num_configs = report.configs_checked;
   AKS_CHECK(num_configs <= configs.size(),
@@ -235,24 +229,21 @@ DifferentialResult differential_check(
            .detail = detail});
     };
 
-    // Collect this config's certificates (one per device).
-    std::vector<const Certificate*> certs;
+    // The symbolic access verdict is device-independent; recover it from
+    // this config's rows (capacity rules only surface when access was safe).
+    bool covered = false;
+    const Certificate* access_cert = nullptr;
     for (const auto& cert : report.certificates) {
-      if (cert.config_index == i) certs.push_back(&cert);
+      if (cert.config_index != i) continue;
+      covered = true;
+      if (access_cert == nullptr && cert.verdict != Verdict::safe &&
+          !is_capacity_rule(cert.rule)) {
+        access_cert = &cert;
+      }
     }
-    if (certs.empty()) {
+    if (!covered) {
       mismatch({}, "no certificate in report");
       continue;
-    }
-
-    // The symbolic access verdict is device-independent; recover it from
-    // the rows (capacity rules only surface when access was safe).
-    const Certificate* access_cert = nullptr;
-    for (const Certificate* cert : certs) {
-      if (cert->verdict != Verdict::safe && !is_capacity_rule(cert->rule)) {
-        access_cert = cert;
-        break;
-      }
     }
 
     if (access_cert == nullptr) {
@@ -287,24 +278,6 @@ DifferentialResult differential_check(
       }
     } else {
       mismatch(access_cert->device, "UNKNOWN verdict unresolved");
-    }
-
-    // Capacity verdicts must agree with the config lint, per device.
-    for (const Certificate* cert : certs) {
-      const auto device =
-          std::find_if(devices.begin(), devices.end(),
-                       [&](const perf::DeviceSpec& d) {
-                         return d.name == cert->device;
-                       });
-      if (device == devices.end()) continue;
-      const bool lint_dirty = !lint_config(config, i, *device).empty();
-      if (is_capacity_rule(cert->rule) && !lint_dirty) {
-        mismatch(cert->device,
-                 "capacity verdict " + cert->rule + " but lint is clean");
-      }
-      if (lint_dirty && cert->verdict == Verdict::safe) {
-        mismatch(cert->device, "SAFE verdict but config lint has findings");
-      }
     }
   }
   return result;

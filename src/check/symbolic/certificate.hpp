@@ -13,16 +13,18 @@
 //              are escalated through the dynamic checked replay
 //              (checked_gemm.hpp) and the outcome recorded.
 //
-// The report round-trips as CSV (same conventions as check::LintReport),
-// exports SARIF-ish JSON via report_json.hpp, and collapses to a
-// per-config safety mask that the "+Certified" `select::MaskedPruner`
-// consumes.
+// The capacity checks are the one static check of a config against a
+// device: a config over a device's work-group, local-memory or vector-width
+// limit is UNSAFE there. The report round-trips as CSV, exports SARIF-ish
+// JSON via report_json.hpp, and collapses to a per-config safety mask that
+// the certified `select::MaskedPruner` consumes; a config without a SAFE
+// certificate never ships.
 //
 // `differential_check` is the trust-but-verify mode: it cross-checks
-// symbolic verdicts against sampled dynamic replays — SAFE configs must
-// replay clean over the shape corpus, UNSAFE access verdicts must fail
-// replay on their counterexample shape, UNSAFE capacity verdicts must
-// agree with the config lint, and any UNKNOWN is itself a mismatch.
+// symbolic access verdicts against sampled dynamic replays — SAFE configs
+// must replay clean over the shape corpus, UNSAFE access verdicts must fail
+// replay on their counterexample shape, and any UNKNOWN is itself a
+// mismatch.
 #pragma once
 
 #include <filesystem>
@@ -35,15 +37,6 @@
 #include "perfmodel/device_spec.hpp"
 
 namespace aks::check::symbolic {
-
-struct CertifyOptions {
-  /// Certify only the first N configurations (0 = all).
-  std::size_t max_configs = 0;
-  /// Also verify the batched-launch summary per configuration.
-  bool include_batched = true;
-  /// Replay UNKNOWN verdicts' candidate shapes through checked replay.
-  bool escalate_unknown = true;
-};
 
 struct Certificate {
   std::size_t config_index = 0;
@@ -73,8 +66,10 @@ struct CertifyReport {
     return count(Verdict::safe) == certificates.size();
   }
 
-  /// Per-config safety over `num_configs` configs: false when the config
-  /// is not SAFE on `device` (or on any device when `device` is empty).
+  /// Per-config safety over `num_configs` configs: true only when the
+  /// report holds at least one certificate for the config on `device` (on
+  /// any device when `device` is empty) and every such certificate is
+  /// SAFE. A config the report does not cover is not certified.
   [[nodiscard]] std::vector<bool> safe_mask(
       std::size_t num_configs, const std::string& device = {}) const;
 
@@ -85,11 +80,14 @@ struct CertifyReport {
       const std::filesystem::path& path);
 };
 
-/// Sweeps `configs` x `devices`. Pass `gemm::enumerate_configs()` and
-/// `perf::DeviceSpec::shipped()` for the standard 640 x 3 space.
+/// Sweeps `configs` x `devices`: the tiled and batched access summaries of
+/// each config, UNKNOWN verdicts escalated through checked replay, plus the
+/// capacity checks per device. Pass `gemm::enumerate_configs()` and
+/// `perf::DeviceSpec::shipped()` for the standard 640 x 3 space, or a
+/// prefix of the configs (`std::span(configs).first(n)`) for a slice.
 [[nodiscard]] CertifyReport certify_space(
     std::span<const gemm::KernelConfig> configs,
-    std::span<const perf::DeviceSpec> devices, const CertifyOptions& = {});
+    std::span<const perf::DeviceSpec> devices);
 
 struct DifferentialMismatch {
   std::size_t config_index = 0;
@@ -109,6 +107,6 @@ struct DifferentialResult {
 /// configurations (0 = every certified configuration).
 [[nodiscard]] DifferentialResult differential_check(
     const CertifyReport& report, std::span<const gemm::KernelConfig> configs,
-    std::span<const perf::DeviceSpec> devices, std::size_t samples = 0);
+    std::size_t samples = 0);
 
 }  // namespace aks::check::symbolic

@@ -102,6 +102,14 @@ struct VerifyResult {
 /// Verifies the access obligations of `summary` for all admitted shapes.
 [[nodiscard]] VerifyResult verify_access_summary(const AccessSummary& summary);
 
+/// True when a `width`-wide staged access decomposes into whole native
+/// vectors (width >= native) or fits inside one (width < native and
+/// divides it); the capacity-vector-width rule of check_capacity.
+[[nodiscard]] constexpr bool vector_tail_ok(int width, int native) {
+  if (native <= 0 || width <= 0) return true;
+  return width % native == 0 || native % width == 0;
+}
+
 /// Checks the summary's resource facts against one device. Violations are
 /// concrete, so every finding is UNSAFE with kind invalid_config.
 [[nodiscard]] std::vector<SymbolicFinding> check_capacity(

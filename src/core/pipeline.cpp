@@ -94,8 +94,8 @@ PipelineResult run_pipeline(const data::PerfDataset& dataset,
   PipelineResult result;
   auto pruner = make_pruner(options.prune_method, options.model_seed);
   if (!options.certified_mask.empty()) {
-    pruner = std::make_unique<MaskedPruner>(
-        std::move(pruner), options.certified_mask, "+Certified");
+    pruner = std::make_unique<MaskedPruner>(std::move(pruner),
+                                            options.certified_mask);
   }
   result.configs = pruner->prune(split.train, options.num_configs);
   result.ceiling = pruning_ceiling(split.test, result.configs);

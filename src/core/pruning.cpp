@@ -166,16 +166,16 @@ std::vector<std::size_t> AgglomerativePruner::prune(
 }
 
 MaskedPruner::MaskedPruner(std::unique_ptr<ConfigPruner> inner,
-                           std::vector<bool> mask, std::string suffix)
-    : inner_(std::move(inner)),
-      mask_(std::move(mask)),
-      suffix_(std::move(suffix)) {
+                           std::vector<bool> mask)
+    : inner_(std::move(inner)), mask_(std::move(mask)) {
   AKS_CHECK(inner_ != nullptr, "MaskedPruner needs an inner pruner");
   AKS_CHECK(std::find(mask_.begin(), mask_.end(), true) != mask_.end(),
-            "config mask " << suffix_ << " rejects every configuration");
+            "certified mask rejects every configuration");
 }
 
-std::string MaskedPruner::name() const { return inner_->name() + suffix_; }
+std::string MaskedPruner::name() const {
+  return inner_->name() + "+Certified";
+}
 
 std::vector<std::size_t> MaskedPruner::prune(const data::PerfDataset& train,
                                              std::size_t max_configs) const {

@@ -116,18 +116,14 @@ class AgglomerativePruner final : public ConfigPruner {
 /// ranking so the budget is still met. The mask is a plain bitmap (index =
 /// canonical config index, true = allowed) carried across the process
 /// boundary as a file, keeping this layer free of a dependency on the
-/// analysis tooling. Two masks are deployed, stacked lint inside and
-/// certificates outside:
-///   * "+Lint" — `check::LintReport::valid_mask()`, the per-replay dynamic
-///     findings of the static config lint (akscheck);
-///   * "+Certified" — `check::symbolic::CertifyReport::safe_mask()`, the
-///     for-all-shapes symbolic verdicts: a config without a SAFE
-///     certificate never ships.
-/// `suffix` is appended to the inner pruner's name.
+/// analysis tooling. The one mask deployed is
+/// `check::symbolic::CertifyReport::safe_mask()`: the for-all-shapes
+/// symbolic verdicts plus the per-device capacity checks, so a config
+/// without a SAFE certificate never ships. The decorator reports itself as
+/// the inner pruner's name plus "+Certified".
 class MaskedPruner final : public ConfigPruner {
  public:
-  MaskedPruner(std::unique_ptr<ConfigPruner> inner, std::vector<bool> mask,
-               std::string suffix);
+  MaskedPruner(std::unique_ptr<ConfigPruner> inner, std::vector<bool> mask);
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::vector<std::size_t> prune(
       const data::PerfDataset& train, std::size_t max_configs) const override;
@@ -135,7 +131,6 @@ class MaskedPruner final : public ConfigPruner {
  private:
   std::unique_ptr<ConfigPruner> inner_;
   std::vector<bool> mask_;
-  std::string suffix_;
 };
 
 /// The paper's five pruning approaches, in Figure 4's order.

@@ -13,8 +13,8 @@ KernelAccessPattern tiled_access_pattern(const KernelConfig& config) {
   pattern.edge_clamped = true;    // compute_edge: min(row0+RT, M) etc.
   pattern.k_tail_clamped = true;  // compute_edge: k_end = min(k0+AS, K)
   pattern.reads_output = false;   // C is write-only in both paths
-  // Charge the same staged-panel footprint the config lint does so the two
-  // static layers can never disagree on local-memory capacity.
+  // Staged operand panels: an (wg_rows*row_tile) x acc_size A panel and an
+  // acc_size x (wg_cols*col_tile) B panel of floats.
   const auto rows = static_cast<std::size_t>(config.wg_rows) *
                     static_cast<std::size_t>(config.row_tile);
   const auto cols = static_cast<std::size_t>(config.wg_cols) *

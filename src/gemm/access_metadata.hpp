@@ -45,8 +45,8 @@ struct KernelAccessPattern {
 };
 
 /// Pattern of TiledGemmKernel / BatchedTiledGemmKernel under `config`.
-/// local_memory_bytes uses the same staged-panel formula the config lint
-/// charges (check::local_memory_footprint_bytes) so the static layers agree.
+/// local_memory_bytes is the staged A and B operand panels of one
+/// work-group — the one place that formula lives.
 [[nodiscard]] KernelAccessPattern tiled_access_pattern(
     const KernelConfig& config);
 

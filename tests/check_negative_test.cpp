@@ -6,8 +6,9 @@
 #include <algorithm>
 
 #include "check/checked_buffer.hpp"
-#include "check/config_lint.hpp"
 #include "check/diagnostics.hpp"
+#include "check/symbolic/verifier.hpp"
+#include "gemm/access_metadata.hpp"
 #include "syclrt/queue.hpp"
 
 namespace {
@@ -17,6 +18,7 @@ using check::AccessMonitor;
 using check::CheckedAccessor;
 using check::CheckedBuffer;
 using check::DiagnosticKind;
+namespace sym = check::symbolic;
 
 bool has_kind(const AccessMonitor& monitor, DiagnosticKind kind) {
   return std::any_of(
@@ -28,6 +30,13 @@ std::size_t count_kind(const AccessMonitor& monitor, DiagnosticKind kind) {
   return static_cast<std::size_t>(std::count_if(
       monitor.findings().begin(), monitor.findings().end(),
       [kind](const check::Diagnostic& d) { return d.kind == kind; }));
+}
+
+/// The one static check of a config against a device.
+std::vector<sym::SymbolicFinding> capacity(const gemm::KernelConfig& config,
+                                           const perf::DeviceSpec& device) {
+  return sym::check_capacity(
+      sym::summarize_tiled_gemm(gemm::tiled_access_pattern(config)), device);
 }
 
 syclrt::Queue replay_queue() {
@@ -232,27 +241,26 @@ TEST(CheckNegative, DisjointGroupsRunClean) {
   EXPECT_TRUE(monitor.clean());
 }
 
-// --- invalid configurations (static lint) -----------------------------------
+// --- invalid configurations (device capacity) -------------------------------
 
 TEST(CheckNegative, OversizedWorkGroupIsRejected) {
   gemm::KernelConfig config;
   config.wg_rows = 48;
   config.wg_cols = 48;  // 2304 items, over every device's 256 limit
-  const auto findings =
-      check::lint_config(config, 0, perf::DeviceSpec::amd_r9_nano());
+  const auto findings = capacity(config, perf::DeviceSpec::amd_r9_nano());
   ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].rule, check::LintRule::work_group_size);
-  EXPECT_EQ(findings[0].to_diagnostic().kind,
+  EXPECT_EQ(findings[0].rule, sym::kRuleCapacityWg);
+  EXPECT_EQ(findings[0].to_diagnostic(config.name()).kind,
             DiagnosticKind::invalid_config);
 }
 
 TEST(CheckNegative, NonVectorizableAccSizeIsRejected) {
   gemm::KernelConfig config;
   config.acc_size = 6;  // neither divides nor is divided by vector width 4
-  const auto findings =
-      check::lint_config(config, 0, perf::DeviceSpec::integrated_gpu());
+  const auto findings = capacity(config, perf::DeviceSpec::integrated_gpu());
   ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].rule, check::LintRule::vector_width);
+  EXPECT_EQ(findings[0].rule, sym::kRuleCapacityVector);
+  EXPECT_EQ(findings[0].kind, DiagnosticKind::invalid_config);
 }
 
 TEST(CheckNegative, LocalMemoryOverflowIsRejected) {
@@ -265,10 +273,11 @@ TEST(CheckNegative, LocalMemoryOverflowIsRejected) {
   perf::DeviceSpec tiny = perf::DeviceSpec::embedded_accelerator();
   tiny.local_memory_bytes = 1024;  // model a scratchpad-poor part
   tiny.max_work_group_size = 4096;  // isolate the local-memory rule
-  const auto findings = check::lint_config(config, 0, tiny);
+  const auto findings = capacity(config, tiny);
   ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].rule, check::LintRule::local_memory);
-  EXPECT_GT(check::local_memory_footprint_bytes(config),
+  EXPECT_EQ(findings[0].rule, sym::kRuleCapacityLocalMem);
+  EXPECT_EQ(findings[0].kind, DiagnosticKind::invalid_config);
+  EXPECT_GT(gemm::tiled_access_pattern(config).local_memory_bytes,
             tiny.local_memory_bytes);
 }
 
@@ -277,8 +286,7 @@ TEST(CheckNegative, ShippedConfigIsAccepted) {
   for (const auto& device :
        {perf::DeviceSpec::amd_r9_nano(), perf::DeviceSpec::embedded_accelerator(),
         perf::DeviceSpec::integrated_gpu()}) {
-    EXPECT_TRUE(check::lint_config(config, 0, device).empty())
-        << "on " << device.name;
+    EXPECT_TRUE(capacity(config, device).empty()) << "on " << device.name;
   }
 }
 

@@ -13,7 +13,6 @@
 
 #include "check/checked_buffer.hpp"
 #include "check/checked_gemm.hpp"
-#include "check/config_lint.hpp"
 #include "check/diagnostics.hpp"
 #include "check/symbolic/access_summary.hpp"
 #include "check/symbolic/verifier.hpp"
@@ -319,8 +318,7 @@ TEST(SymbolicNegative, LocalMemoryCapacityViolationIsReported) {
     ASSERT_FALSE(findings.empty()) << device.name;
     EXPECT_EQ(findings[0].rule, sym::kRuleCapacityLocalMem);
   }
-  // A scratchpad-poor device variant rejects a real shipped config, and the
-  // lint layer agrees on the same (config, device) pair.
+  // A scratchpad-poor device variant rejects a real shipped config.
   const auto config = gemm::KernelConfig::parse("t8x8_a8_wg16x16");
   perf::DeviceSpec tiny = perf::DeviceSpec::embedded_accelerator();
   tiny.local_memory_bytes = 1024;
@@ -329,28 +327,21 @@ TEST(SymbolicNegative, LocalMemoryCapacityViolationIsReported) {
       sym::summarize_tiled_gemm(gemm::tiled_access_pattern(config)), tiny);
   ASSERT_FALSE(symbolic.empty());
   EXPECT_EQ(symbolic[0].rule, sym::kRuleCapacityLocalMem);
-  const auto lint = check::lint_config(config, 0, tiny);
-  ASSERT_FALSE(lint.empty());
-  EXPECT_EQ(lint[0].rule, check::LintRule::local_memory);
 }
 
-TEST(SymbolicNegative, VectorWidthCapacityAgreesWithLint) {
+TEST(SymbolicNegative, VectorWidthCapacityViolationIsReported) {
   // A column tile of 6 leaves a 2-wide tail against the 4-wide native
-  // vector. Both static layers must reject it — they share vector_tail_ok.
+  // vector: the staged store width fails vector_tail_ok.
   gemm::KernelConfig config;
   config.col_tile = 6;
   const auto device = perf::DeviceSpec::integrated_gpu();
-  EXPECT_FALSE(check::vector_tail_ok(6, device.vector_width));
+  EXPECT_FALSE(sym::vector_tail_ok(6, device.vector_width));
 
   const auto symbolic = sym::check_capacity(
       sym::summarize_tiled_gemm(gemm::tiled_access_pattern(config)), device);
   ASSERT_FALSE(symbolic.empty());
   EXPECT_EQ(symbolic[0].rule, sym::kRuleCapacityVector);
   EXPECT_EQ(symbolic[0].kind, DiagnosticKind::invalid_config);
-
-  const auto lint = check::lint_config(config, 0, device);
-  ASSERT_FALSE(lint.empty());
-  EXPECT_EQ(lint[0].rule, check::LintRule::vector_width);
 }
 
 // --- UNKNOWN: unproved, no counterexample — escalates to replay -------------

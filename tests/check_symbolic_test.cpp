@@ -2,11 +2,14 @@
 // and the interval+congruence prover behave as specified, every shipped
 // configuration's access summary proves SAFE for all shapes (zero UNKNOWN),
 // capacity checks pass on every shipped device, certificates round-trip
-// through CSV, and the JSON export renders both report kinds.
+// through CSV and gate the safety mask, and the JSON export renders SAFE
+// and UNSAFE certificates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <span>
+#include <vector>
 
 #include "check/report_json.hpp"
 #include "check/symbolic/access_summary.hpp"
@@ -157,6 +160,31 @@ TEST(SymbolicVerifier, CapacityIsCleanOnAllShippedDevices) {
   }
 }
 
+TEST(SymbolicVerifier, TiledSummaryCarriesEachConfigsCapacityFacts) {
+  // check_capacity judges the summary, not the config, so the access
+  // metadata must carry every config's own work-group size, staged-panel
+  // footprint and staged widths.
+  for (const auto& config : gemm::enumerate_configs()) {
+    const auto pattern = gemm::tiled_access_pattern(config);
+    const auto summary = summarize_tiled_gemm(pattern);
+    const auto panels = static_cast<std::size_t>(
+        config.wg_rows * config.row_tile * config.acc_size +
+        config.acc_size * config.wg_cols * config.col_tile);
+    EXPECT_EQ(pattern.work_group_size(), config.work_group_size());
+    EXPECT_EQ(summary.work_group_size, config.work_group_size());
+    EXPECT_EQ(pattern.local_memory_bytes, 4u * panels) << config.name();
+    EXPECT_EQ(summary.local_memory_bytes, 4u * panels) << config.name();
+    EXPECT_EQ(summary.staged_vector_widths,
+              (std::vector<int>{config.acc_size, config.col_tile}))
+        << config.name();
+  }
+  // t1x1_a1_wg8x8 stages (8*1*1 + 1*8*1) floats.
+  EXPECT_EQ(gemm::tiled_access_pattern(
+                gemm::KernelConfig::parse("t1x1_a1_wg8x8"))
+                .local_memory_bytes,
+            16u * sizeof(float));
+}
+
 TEST(SymbolicVerifier, WitnessCandidatesCoverTileBoundaries) {
   const auto pattern =
       gemm::tiled_access_pattern(gemm::KernelConfig::parse("t4x4_a2_wg8x8"));
@@ -211,10 +239,9 @@ TEST(Certify, FullSpaceIsAllSafe) {
 }
 
 TEST(Certify, ReportRoundTripsThroughCsv) {
-  CertifyOptions options;
-  options.max_configs = 5;
-  const auto report = certify_space(gemm::enumerate_configs(),
-                                    perf::DeviceSpec::shipped(), options);
+  const auto report =
+      certify_space(std::span(gemm::enumerate_configs()).first(5),
+                    perf::DeviceSpec::shipped());
   const auto path = std::filesystem::temp_directory_path() /
                     "akscheck_certify_roundtrip_test.csv";
   report.save_csv(path);
@@ -236,8 +263,43 @@ TEST(Certify, ReportRoundTripsThroughCsv) {
   }
 }
 
+TEST(Certify, TruncatedReportCertifiesOnlyCoveredConfigs) {
+  // A report that stops after five configs must not vouch for the other
+  // 635: a config without a SAFE certificate is not certified.
+  const auto report =
+      certify_space(std::span(gemm::enumerate_configs()).first(5),
+                    perf::DeviceSpec::shipped());
+  ASSERT_EQ(report.certificates.size(), 15u);
+  const auto path = std::filesystem::temp_directory_path() /
+                    "akscheck_certify_truncated_test.csv";
+  report.save_csv(path);
+  const auto loaded = CertifyReport::load_csv(path);
+  std::filesystem::remove(path);
+
+  const std::string& device = report.certificates[0].device;
+  for (const auto& mask :
+       {loaded.safe_mask(640), loaded.safe_mask(640, device)}) {
+    ASSERT_EQ(mask.size(), 640u);
+    for (std::size_t c = 0; c < mask.size(); ++c) {
+      EXPECT_EQ(mask[c], c < 5) << "config " << c;
+    }
+  }
+  // A device the report never mentions certifies nothing.
+  const auto other = loaded.safe_mask(640, "unlisted device");
+  EXPECT_EQ(std::count(other.begin(), other.end(), true), 0);
+}
+
 TEST(Certify, SafeMaskFlagsNonSafeConfigs) {
   CertifyReport report;
+  Certificate good;
+  good.config_index = 0;
+  good.config = "w";
+  good.device = "d1";
+  good.verdict = Verdict::safe;
+  report.certificates.push_back(good);
+  good.config_index = 3;
+  good.config = "z";
+  report.certificates.push_back(good);
   Certificate bad;
   bad.config_index = 1;
   bad.config = "x";
@@ -255,21 +317,22 @@ TEST(Certify, SafeMaskFlagsNonSafeConfigs) {
   EXPECT_FALSE(mask[1]);  // unsafe
   EXPECT_FALSE(mask[2]);  // unknown is not safe
   EXPECT_TRUE(mask[3]);
-  // Restricted to d1, only config 1 is masked.
+  // Restricted to d1: config 1 is unsafe there and config 2 has no
+  // certificate there, so neither is certified.
   const auto d1 = report.safe_mask(4, "d1");
+  EXPECT_TRUE(d1[0]);
   EXPECT_FALSE(d1[1]);
-  EXPECT_TRUE(d1[2]);
+  EXPECT_FALSE(d1[2]);
+  EXPECT_TRUE(d1[3]);
 }
 
 TEST(Certify, DifferentialAgreesOnSampledConfigs) {
   // A sampled slice of the full differential CI job: symbolic verdicts
   // versus dynamic replay must agree exactly.
-  CertifyOptions options;
-  options.max_configs = 8;
   const auto& configs = gemm::enumerate_configs();
-  const auto devices = perf::DeviceSpec::shipped();
-  const auto report = certify_space(configs, devices, options);
-  const auto diff = differential_check(report, configs, devices, 4);
+  const auto report = certify_space(std::span(configs).first(8),
+                                    perf::DeviceSpec::shipped());
+  const auto diff = differential_check(report, configs, 4);
   EXPECT_GE(diff.configs_sampled, 4u);
   EXPECT_GT(diff.replays, 0u);
   for (const auto& mismatch : diff.mismatches) {
@@ -292,10 +355,9 @@ TEST(ReportJson, EscapesControlCharacters) {
 }
 
 TEST(ReportJson, RendersCertifyReport) {
-  CertifyOptions options;
-  options.max_configs = 2;
-  const auto report = certify_space(gemm::enumerate_configs(),
-                                    perf::DeviceSpec::shipped(), options);
+  const auto report =
+      certify_space(std::span(gemm::enumerate_configs()).first(2),
+                    perf::DeviceSpec::shipped());
   const std::string json = check::to_json(report);
   EXPECT_NE(json.find("\"tool\": \"akscheck-certify\""), std::string::npos);
   EXPECT_NE(json.find("\"ruleId\": \"certified-safe\""), std::string::npos);
@@ -304,17 +366,19 @@ TEST(ReportJson, RendersCertifyReport) {
   EXPECT_NE(json.find("\"safe\": 6"), std::string::npos);
 }
 
-TEST(ReportJson, RendersLintReport) {
+TEST(ReportJson, RendersUnsafeCapacityCertificate) {
   gemm::KernelConfig bad;
   bad.wg_rows = 48;
-  bad.wg_cols = 48;
+  bad.wg_cols = 48;  // 2304 items, over every shipped device's limit
   const std::vector<gemm::KernelConfig> configs = {bad};
-  const auto devices = perf::DeviceSpec::shipped();
-  const auto report = check::lint_configs(configs, devices);
+  const auto report = certify_space(configs, perf::DeviceSpec::shipped());
+  ASSERT_EQ(report.count(Verdict::unsafe), 3u);
   const std::string json = check::to_json(report);
-  EXPECT_NE(json.find("\"tool\": \"akscheck-lint\""), std::string::npos);
-  EXPECT_NE(json.find("\"ruleId\": \"work_group_size\""), std::string::npos);
+  EXPECT_NE(json.find("\"ruleId\": \"capacity-work-group-size\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"level\": \"error\""), std::string::npos);
+  EXPECT_NE(json.find("\"verdict\": \"UNSAFE\""), std::string::npos);
+  EXPECT_EQ(json.find("\"level\": \"note\""), std::string::npos);
 }
 
 }  // namespace

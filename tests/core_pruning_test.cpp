@@ -150,52 +150,13 @@ TEST_F(PruningTest, AllPrunersHaveDistinctNames) {
   EXPECT_EQ(names.size(), 5u);
 }
 
-TEST_F(PruningTest, ValidityFilterRemovesLintedConfigs) {
-  // Mark the unfiltered selection's first pick invalid (as the akscheck
-  // config lint would) and check it is replaced, not just dropped.
-  TopNPruner base;
-  const auto unfiltered = base.prune(dataset(), 8);
-  std::vector<bool> valid(dataset().num_configs(), true);
-  valid[unfiltered[0]] = false;
-
-  MaskedPruner filtered(std::make_unique<TopNPruner>(), valid, "+Lint");
-  EXPECT_EQ(filtered.name(), "TopN+Lint");
-  const auto configs = filtered.prune(dataset(), 8);
-  EXPECT_EQ(configs.size(), 8u);
-  EXPECT_TRUE(std::is_sorted(configs.begin(), configs.end()));
-  for (const auto c : configs) {
-    EXPECT_TRUE(valid[c]) << "config " << c << " is lint-invalid";
-  }
-}
-
-TEST_F(PruningTest, ValidityFilterClampsBudgetToSurvivors) {
-  // Only three configurations survive the lint: the budget caps there.
-  std::vector<bool> valid(dataset().num_configs(), false);
-  valid[3] = valid[100] = valid[500] = true;
-  MaskedPruner filtered(std::make_unique<TopNPruner>(), valid, "+Lint");
-  const auto configs = filtered.prune(dataset(), 8);
-  EXPECT_EQ(configs.size(), 3u);
-  for (const auto c : configs) EXPECT_TRUE(valid[c]);
-}
-
-TEST_F(PruningTest, ValidityFilterRejectsDegenerateInputs) {
-  EXPECT_THROW(MaskedPruner(nullptr, {true}, "+Lint"), common::Error);
-  EXPECT_THROW(MaskedPruner(std::make_unique<TopNPruner>(),
-                            std::vector<bool>(640, false), "+Lint"),
-               common::Error);
-  // Mask size must match the dataset.
-  MaskedPruner short_mask(std::make_unique<TopNPruner>(),
-                          std::vector<bool>(10, true), "+Lint");
-  EXPECT_THROW((void)short_mask.prune(dataset(), 4), common::Error);
-}
-
 TEST_F(PruningTest, CertifiedPrunerDropsUncertifiedConfigs) {
   TopNPruner top_n;
   const auto unfiltered = top_n.prune(dataset(), 8);
   std::vector<bool> safe(dataset().num_configs(), true);
   safe[unfiltered[0]] = false;  // revoke the favourite's certificate
 
-  MaskedPruner certified(std::make_unique<TopNPruner>(), safe, "+Certified");
+  MaskedPruner certified(std::make_unique<TopNPruner>(), safe);
   EXPECT_EQ(certified.name(), "TopN+Certified");
   const auto configs = certified.prune(dataset(), 8);
   EXPECT_EQ(configs.size(), 8u);
@@ -208,39 +169,20 @@ TEST_F(PruningTest, CertifiedPrunerDropsUncertifiedConfigs) {
 TEST_F(PruningTest, CertifiedPrunerClampsBudgetToCertifiedConfigs) {
   std::vector<bool> safe(dataset().num_configs(), false);
   safe[7] = safe[200] = safe[639] = true;
-  MaskedPruner certified(std::make_unique<TopNPruner>(), safe, "+Certified");
+  MaskedPruner certified(std::make_unique<TopNPruner>(), safe);
   const auto configs = certified.prune(dataset(), 8);
   EXPECT_EQ(configs.size(), 3u);
   for (const auto c : configs) EXPECT_TRUE(safe[c]);
 }
 
 TEST_F(PruningTest, CertifiedPrunerRejectsDegenerateInputs) {
-  EXPECT_THROW(MaskedPruner(nullptr, {true}, "+Certified"), common::Error);
+  EXPECT_THROW(MaskedPruner(nullptr, {true}), common::Error);
   EXPECT_THROW(MaskedPruner(std::make_unique<TopNPruner>(),
-                            std::vector<bool>(640, false), "+Certified"),
+                            std::vector<bool>(640, false)),
                common::Error);
   MaskedPruner short_mask(std::make_unique<TopNPruner>(),
-                          std::vector<bool>(10, true), "+Certified");
+                          std::vector<bool>(10, true));
   EXPECT_THROW((void)short_mask.prune(dataset(), 4), common::Error);
-}
-
-TEST_F(PruningTest, CertifiedAndLintFiltersCompose) {
-  // The two mask decorators stack: lint validity inside, certificates
-  // outside — exactly how run_pipeline and akscheck deploy them.
-  std::vector<bool> valid(dataset().num_configs(), true);
-  std::vector<bool> safe(dataset().num_configs(), true);
-  valid[10] = false;
-  safe[20] = false;
-  MaskedPruner pruner(std::make_unique<MaskedPruner>(
-                          std::make_unique<TopNPruner>(), valid, "+Lint"),
-                      safe, "+Certified");
-  EXPECT_EQ(pruner.name(), "TopN+Lint+Certified");
-  const auto configs = pruner.prune(dataset(), 12);
-  EXPECT_EQ(configs.size(), 12u);
-  for (const auto c : configs) {
-    EXPECT_TRUE(valid[c]);
-    EXPECT_TRUE(safe[c]);
-  }
 }
 
 }  // namespace

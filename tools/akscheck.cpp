@@ -1,18 +1,18 @@
 // akscheck — race/bounds/config analysis driver for the kernel zoo.
 //
-// Runs the two akscheck passes over the registry configuration space:
+// Runs the akscheck passes over the registry configuration space:
 //
 //   checked execution  (--registry)  replay every compiled kernel over
 //                                    shadow-recording accessors on a shape
 //                                    corpus; races, out-of-bounds accesses,
 //                                    unguarded tails, numeric divergence;
-//   config lint        (--lint)      validate every configuration against
-//                                    device execution limits;
 //   conv lowerings     (--conv)      replay the im2col/Winograd lowerings
 //                                    through their production code path;
 //   certificates       (certify)     symbolic access verification of every
 //                                    configuration for ALL shapes: bounds,
-//                                    races, tails and device capacity, with
+//                                    races, tails and device capacity (the
+//                                    work-group, local-memory and vector-
+//                                    width limits of every device), with
 //                                    SAFE/UNSAFE/UNKNOWN certificates and a
 //                                    --differential cross-check against the
 //                                    dynamic replay;
@@ -22,18 +22,18 @@
 //                                    observed lock-order graph: no cycles,
 //                                    no lock held across a condition wait.
 //
-// With no pass flags, --registry and --lint both run. Exit status: 0 clean,
-// 1 findings, 2 usage error.
+// With no pass flags, --registry and certify both run. Exit status: 0 clean,
+// 1 findings (any non-SAFE certificate counts), 2 usage error.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/checked_conv.hpp"
 #include "check/checked_gemm.hpp"
-#include "check/config_lint.hpp"
 #include "check/lock_drill.hpp"
 #include "check/lockdep.hpp"
 #include "check/report_json.hpp"
@@ -48,14 +48,13 @@ using namespace aks;
 
 struct Args {
   bool registry = false;
-  bool lint = false;
   bool conv = false;
   bool certify = false;
   bool locks = false;
   bool differential = false;
   std::size_t threads = 8;
   std::size_t requests = 64;
-  std::string devices = "all";
+  std::vector<perf::DeviceSpec> devices = perf::DeviceSpec::shipped();
   std::string report;
   std::string format = "csv";
   std::vector<gemm::GemmShape> shapes;
@@ -92,6 +91,33 @@ gemm::GemmShape parse_shape(const std::string& text) {
   return shape;
 }
 
+std::vector<perf::DeviceSpec> devices_from(const std::string& spec) {
+  std::vector<perf::DeviceSpec> devices;
+  const auto add = [&devices](const std::string& name) {
+    if (name == "r9nano") {
+      devices.push_back(perf::DeviceSpec::amd_r9_nano());
+    } else if (name == "embedded") {
+      devices.push_back(perf::DeviceSpec::embedded_accelerator());
+    } else if (name == "igpu") {
+      devices.push_back(perf::DeviceSpec::integrated_gpu());
+    } else {
+      AKS_FAIL("unknown device '" << name
+                                  << "' (all | r9nano | embedded | igpu)");
+    }
+  };
+  if (spec == "all") return perf::DeviceSpec::shipped();
+  std::size_t start = 0;
+  while (start <= spec.size()) {
+    const auto comma = spec.find(',', start);
+    const auto end = comma == std::string::npos ? spec.size() : comma;
+    if (end > start) add(spec.substr(start, end - start));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  AKS_CHECK(!devices.empty(), "--devices selected no device");
+  return devices;
+}
+
 Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -102,8 +128,6 @@ Args parse_args(int argc, char** argv) {
     };
     if (token == "--registry") {
       args.registry = true;
-    } else if (token == "--lint") {
-      args.lint = true;
     } else if (token == "--conv") {
       args.conv = true;
     } else if (token == "certify" || token == "--certify") {
@@ -120,15 +144,11 @@ Args parse_args(int argc, char** argv) {
     } else if (token == "--verbose") {
       args.verbose = true;
     } else if (token == "--devices") {
-      args.devices = value();
+      args.devices = devices_from(value());
     } else if (token == "--report") {
       args.report = value();
     } else if (token == "--format") {
       args.format = value();
-      AKS_CHECK(args.format == "csv" || args.format == "json" ||
-                    args.format == "dot",
-                "--format must be csv, json or dot, got '" << args.format
-                                                           << "'");
     } else if (token == "--samples") {
       args.samples = parse_size(value(), "--samples");
     } else if (token == "--max-configs") {
@@ -152,51 +172,23 @@ Args parse_args(int argc, char** argv) {
       AKS_FAIL("unknown option '" << token << "'");
     }
   }
-  if (!args.registry && !args.lint && !args.conv && !args.certify &&
-      !args.locks) {
+  if (!args.registry && !args.conv && !args.certify && !args.locks) {
     args.registry = true;
-    args.lint = true;
+    args.certify = true;
   }
   AKS_CHECK(!args.differential || args.certify,
             "--differential requires the certify pass");
-  AKS_CHECK(args.format != "dot" || args.locks,
-            "--format dot is only valid for the locks pass");
-  AKS_CHECK(!(args.locks && args.format == "csv" && !args.report.empty()) ||
-                args.lint || args.certify,
-            "locks reports are dot or json; pass --format dot|json");
+  // --report holds one pass's report, in a format that pass writes.
+  if (!args.report.empty()) {
+    AKS_CHECK(!(args.certify && args.locks),
+              "--report takes one reporting pass; run certify and locks "
+              "separately");
+    AKS_CHECK(!args.certify || args.format == "csv" || args.format == "json",
+              "certify reports are csv or json, got '" << args.format << "'");
+    AKS_CHECK(!args.locks || args.format == "dot" || args.format == "json",
+              "locks reports are dot or json; pass --format dot|json");
+  }
   return args;
-}
-
-std::vector<perf::DeviceSpec> devices_from(const std::string& spec) {
-  std::vector<perf::DeviceSpec> devices;
-  const auto add = [&devices](const std::string& name) {
-    if (name == "r9nano") {
-      devices.push_back(perf::DeviceSpec::amd_r9_nano());
-    } else if (name == "embedded") {
-      devices.push_back(perf::DeviceSpec::embedded_accelerator());
-    } else if (name == "igpu") {
-      devices.push_back(perf::DeviceSpec::integrated_gpu());
-    } else {
-      AKS_FAIL("unknown device '" << name
-                                  << "' (all | r9nano | embedded | igpu)");
-    }
-  };
-  if (spec == "all") {
-    add("r9nano");
-    add("embedded");
-    add("igpu");
-    return devices;
-  }
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const auto comma = spec.find(',', start);
-    const auto end = comma == std::string::npos ? spec.size() : comma;
-    if (end > start) add(spec.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  AKS_CHECK(!devices.empty(), "--devices selected no device");
-  return devices;
 }
 
 void print_findings(const std::vector<check::Diagnostic>& findings,
@@ -213,31 +205,6 @@ void print_findings(const std::vector<check::Diagnostic>& findings,
 
 int run(const Args& args) {
   std::size_t total_findings = 0;
-
-  if (args.lint) {
-    const auto devices = devices_from(args.devices);
-    const auto& configs = gemm::enumerate_configs();
-    const auto report = check::lint_configs(configs, devices);
-    std::cout << "[lint] " << report.configs_checked << " configs x "
-              << report.devices_checked << " devices: " << report.findings.size()
-              << " finding(s)\n";
-    if (!report.clean()) {
-      std::vector<check::Diagnostic> diags;
-      for (const auto& finding : report.findings) {
-        diags.push_back(finding.to_diagnostic());
-      }
-      print_findings(diags, args.verbose ? diags.size() : 10);
-    }
-    if (!args.report.empty()) {
-      if (args.format == "json") {
-        check::save_json(args.report, check::to_json(report));
-      } else {
-        report.save_csv(args.report);
-      }
-      std::cout << "[lint] report written to " << args.report << "\n";
-    }
-    total_findings += report.findings.size();
-  }
 
   if (args.registry) {
     check::RegistryCheckOptions options;
@@ -261,11 +228,11 @@ int run(const Args& args) {
 
   if (args.certify) {
     namespace sym = check::symbolic;
-    const auto devices = devices_from(args.devices);
-    const auto& configs = gemm::enumerate_configs();
-    sym::CertifyOptions options;
-    options.max_configs = args.max_configs;
-    const auto report = sym::certify_space(configs, devices, options);
+    const std::span<const gemm::KernelConfig> all = gemm::enumerate_configs();
+    const auto configs = all.first(
+        args.max_configs == 0 ? all.size()
+                              : std::min(args.max_configs, all.size()));
+    const auto report = sym::certify_space(configs, args.devices);
     std::cout << "[certify] " << report.configs_checked << " configs x "
               << report.devices_checked << " devices: "
               << report.count(sym::Verdict::safe) << " SAFE, "
@@ -293,7 +260,7 @@ int run(const Args& args) {
 
     if (args.differential) {
       const auto diff =
-          sym::differential_check(report, configs, devices, args.samples);
+          sym::differential_check(report, configs, args.samples);
       std::cout << "[certify] differential: " << diff.configs_sampled
                 << " configs sampled, " << diff.replays << " replays, "
                 << diff.mismatches.size() << " mismatch(es)\n";
@@ -372,16 +339,16 @@ int run(const Args& args) {
 void print_usage() {
   std::cerr <<
       "usage: akscheck [certify|locks] [passes] [options]\n"
-      "passes (default: --registry --lint):\n"
+      "passes (default: --registry certify):\n"
       "  --registry          checked replay of the GEMM kernel zoo\n"
-      "  --lint              config validity vs device execution limits\n"
       "  --conv              checked replay of the conv lowerings\n"
       "  certify             symbolic SAFE/UNSAFE/UNKNOWN certificates for\n"
-      "                      every configuration, over all shapes\n"
+      "                      every configuration, over all shapes, and its\n"
+      "                      capacity on every device\n"
       "  locks               drive the serving stack concurrently and\n"
       "                      validate the observed lock-order graph\n"
       "options:\n"
-      "  --devices all|r9nano,embedded,igpu   lint/certify targets\n"
+      "  --devices all|r9nano,embedded,igpu   certify targets\n"
       "  --shapes MxKxN,...  registry shape corpus (default built-in)\n"
       "  --max-configs N     registry/certify: first N configs (0 = all)\n"
       "  --conv-stride N     conv: every Nth config (default 80)\n"
@@ -390,9 +357,10 @@ void print_usage() {
       "  --samples N         differential: configs to sample (0 = all)\n"
       "  --threads N         locks: worker threads (default 8)\n"
       "  --requests N        locks: requests per thread (default 64)\n"
-      "  --report <path>     write the lint/certify/locks report\n"
-      "  --format csv|json|dot  report format (default csv; dot is\n"
-      "                      locks-only)\n"
+      "  --report <path>     write the certify or the locks report (one\n"
+      "                      reporting pass per run)\n"
+      "  --format F          report format: certify csv (default) or json;\n"
+      "                      locks dot or json\n"
       "  --verbose           print every finding / every order edge\n";
 }
 
