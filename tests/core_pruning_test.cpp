@@ -9,6 +9,7 @@
 #include "core/pruning.hpp"
 #include "dataset/benchmark_runner.hpp"
 #include "faults/injector.hpp"
+#include "ml/pca.hpp"
 
 namespace aks::select {
 namespace {
@@ -183,6 +184,57 @@ TEST_F(PruningTest, CertifiedPrunerRejectsDegenerateInputs) {
   MaskedPruner short_mask(std::make_unique<TopNPruner>(),
                           std::vector<bool>(10, true));
   EXPECT_THROW((void)short_mask.prune(dataset(), 4), common::Error);
+}
+
+/// The paper's pipeline on the seed dataset: the Figure 3 training split
+/// (split seed 1) of the default paper dataset, fault-free. Pins what PCA
+/// hands the rest of the pipeline, so a change of eigensolver cannot
+/// silently change which kernels the library ships.
+class PaperPcaPin : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+    const auto dataset = data::build_paper_dataset();
+    train_ = new data::PerfDataset(dataset.split(0.8, 1).train);
+  }
+  static void TearDownTestSuite() {
+    delete train_;
+    train_ = nullptr;
+  }
+  static const data::PerfDataset& train() { return *train_; }
+
+ private:
+  static data::PerfDataset* train_;
+};
+
+data::PerfDataset* PaperPcaPin::train_ = nullptr;
+
+TEST_F(PaperPcaPin, Figure3ExplainedVarianceRatios) {
+  ml::Pca pca;
+  pca.fit(train().scores());
+  EXPECT_EQ(pca.num_components(), 127u);
+  // The first 8 components: the paper's 90%-of-variance budget.
+  const std::vector<double> expected = {
+      0.59496009590444776, 0.15103829508549946, 0.068785460784714092,
+      0.04555138655068576, 0.033634588655585523, 0.020917359726466619,
+      0.012861366328914072, 0.01119008624240629};
+  const auto& ratios = pca.explained_variance_ratio();
+  ASSERT_GE(ratios.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(ratios[i], expected[i], 1e-12 * expected[i])
+        << "component " << i;
+  }
+}
+
+TEST_F(PaperPcaPin, PcaKMeansShipsTheSameConfigs) {
+  const PcaKMeansPruner pruner(0, 0);
+  EXPECT_EQ(pruner.prune(train(), 4),
+            (std::vector<std::size_t>{194, 274, 354, 544}));
+  EXPECT_EQ(pruner.prune(train(), 8),
+            (std::vector<std::size_t>{74, 159, 194, 273, 394, 434, 554, 574}));
+  EXPECT_EQ(pruner.prune(train(), 15),
+            (std::vector<std::size_t>{111, 113, 159, 184, 230, 270, 273, 314,
+                                      344, 394, 434, 544, 554, 574, 590}));
 }
 
 }  // namespace
