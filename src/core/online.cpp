@@ -36,6 +36,9 @@ OnlineTuner::OnlineTuner(std::vector<std::size_t> candidates, TimerFn timer,
 }
 
 gemm::KernelConfig OnlineTuner::select(const gemm::GemmShape& shape) {
+  // A bad shape is the caller's error: refuse it before it can be counted,
+  // fail every trial and quarantine healthy candidates.
+  gemm::check_shape(shape);
   {
     aks::ReaderMutexLock lock(mutex_);
     const auto it = cache_.find(shape);

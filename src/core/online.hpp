@@ -77,7 +77,9 @@ class OnlineTuner {
               TunerOptions options = {});
 
   /// Best candidate for the shape; benchmarks on first sight of the shape.
-  /// Never throws on trial failures — degrades to the fallback config.
+  /// Never throws on trial failures — degrades to the fallback config. A
+  /// shape breaking gemm::check_shape is the caller's error: it throws
+  /// common::Error before any cache lookup, counter or trial.
   [[nodiscard]] gemm::KernelConfig select(const gemm::GemmShape& shape);
 
   /// Warm-start: adopts a previously tuned decision so select() serves it

@@ -98,10 +98,9 @@ std::vector<std::size_t> PcaKMeansPruner::prune(const data::PerfDataset& train,
                                   pca.num_components())
           : pca.components_for_variance(0.90);
 
-  // Re-fit with the chosen dimensionality to keep transform cheap.
-  ml::Pca reduced(static_cast<int>(dims));
-  reduced.fit(train.scores());
-  const common::Matrix projected = reduced.transform(train.scores());
+  // truncate() equals Pca(dims).fit without a second eigendecomposition.
+  pca.truncate(dims);
+  const common::Matrix projected = pca.transform(train.scores());
 
   ml::KMeansOptions opts;
   opts.n_clusters =
@@ -113,7 +112,7 @@ std::vector<std::size_t> PcaKMeansPruner::prune(const data::PerfDataset& train,
   // Map centroids back to the 640-dim space (the paper: "centroids ...
   // mapped back to the original coordinate space to give representatives").
   const common::Matrix representatives =
-      reduced.inverse_transform(kmeans.centroids());
+      pca.inverse_transform(kmeans.centroids());
   std::vector<std::size_t> chosen;
   for (std::size_t c = 0; c < representatives.rows(); ++c) {
     chosen.push_back(common::argmax(representatives.row(c)));

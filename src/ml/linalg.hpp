@@ -1,8 +1,9 @@
 // Dense linear algebra for the ML stack.
 //
-// Everything operates on common::Matrix (row-major double). The eigensolver
-// is a cyclic Jacobi rotation method for symmetric matrices — O(n^3) with
-// excellent accuracy, entirely adequate for the covariance/Gram matrices
+// Everything operates on common::Matrix (row-major double). The symmetric
+// eigensolver is direct: Householder reduction to tridiagonal form, then
+// implicit QL with Wilkinson shifts (the tred2/tql2 pair, Golub & Van Loan
+// 8.3) — O(n^3) with a small constant, for the covariance/Gram matrices
 // (<= 640 x 640) this library sees.
 #pragma once
 
@@ -53,11 +54,10 @@ struct EigenResult {
   Matrix eigenvectors;
 };
 
-/// Cyclic Jacobi eigensolver for a symmetric matrix. Throws if `a` is not
-/// square; symmetry is assumed (the lower triangle is read).
-[[nodiscard]] EigenResult symmetric_eigen(const Matrix& a,
-                                          int max_sweeps = 64,
-                                          double tolerance = 1e-12);
+/// Eigendecomposition of a symmetric matrix (Householder + implicit QL).
+/// Throws if `a` is not square; symmetry is assumed (the lower triangle is
+/// read).
+[[nodiscard]] EigenResult symmetric_eigen(const Matrix& a);
 
 /// Pairwise Euclidean distance matrix between rows of X (symmetric, zero
 /// diagonal).

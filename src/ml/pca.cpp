@@ -8,6 +8,17 @@
 
 namespace aks::ml {
 
+namespace {
+
+/// The first `k` rows of `m`.
+common::Matrix leading_rows(const common::Matrix& m, std::size_t k) {
+  common::Matrix out(k, m.cols());
+  std::copy_n(m.data().begin(), out.data().size(), out.data().begin());
+  return out;
+}
+
+}  // namespace
+
 void Pca::fit(const common::Matrix& x) {
   AKS_CHECK(x.rows() >= 2, "PCA needs at least 2 samples, got " << x.rows());
   const std::size_t n = x.rows();
@@ -22,17 +33,12 @@ void Pca::fit(const common::Matrix& x) {
         std::min(max_components, static_cast<std::size_t>(n_components_));
   }
 
-  std::vector<double> variances;   // eigenvalues of the covariance
-  common::Matrix axes;             // rows are principal axes in feature space
-
-  if (d <= n) {
-    // Covariance route: eigenvectors are the axes directly.
-    const auto eigen = symmetric_eigen(covariance(centered));
-    variances.assign(eigen.eigenvalues.begin(), eigen.eigenvalues.end());
-    axes = eigen.eigenvectors;
-  } else {
-    // Gram route: XX^T/(n-1) shares nonzero eigenvalues with the
-    // covariance; axes are X^T u / ||X^T u||.
+  // Gram route when the data is wide: XX^T/(n-1) shares its nonzero
+  // eigenvalues with the covariance, and its eigenvectors u give the axes
+  // as X^T u / ||X^T u|| — identical components, much cheaper.
+  const bool gram_route = d > n;
+  EigenResult eigen;
+  if (gram_route) {
     common::Matrix gram(n, n, 0.0);
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i; j < n; ++j) {
@@ -41,46 +47,64 @@ void Pca::fit(const common::Matrix& x) {
         gram(i, j) = g;
         gram(j, i) = g;
       }
-    const auto eigen = symmetric_eigen(gram);
-    variances.assign(eigen.eigenvalues.begin(), eigen.eigenvalues.end());
-    axes.resize(n, d, 0.0);
-    for (std::size_t comp = 0; comp < n; ++comp) {
-      // axis = X^T * u_comp, then normalise.
+    eigen = symmetric_eigen(gram);
+  } else {
+    eigen = symmetric_eigen(covariance(centered));
+  }
+
+  // Keep the leading components with positive variance.
+  std::size_t kept = 0;
+  while (kept < max_components && kept < eigen.eigenvalues.size() &&
+         eigen.eigenvalues[kept] > 1e-12) {
+    ++kept;
+  }
+  AKS_CHECK(kept > 0, "PCA found no variance in the data");
+
+  if (gram_route) {
+    // Only the kept axes are computed.
+    components_.resize(kept, d, 0.0);
+    for (std::size_t comp = 0; comp < kept; ++comp) {
+      const auto axis = components_.row(comp);
       for (std::size_t i = 0; i < n; ++i) {
         const double u = eigen.eigenvectors(comp, i);
         if (u == 0.0) continue;
         const auto row = centered.row(i);
-        for (std::size_t c = 0; c < d; ++c) axes(comp, c) += u * row[c];
+        for (std::size_t c = 0; c < d; ++c) axis[c] += u * row[c];
       }
-      const double len = norm(axes.row(comp));
+      const double len = norm(axis);
       if (len > 1e-12) {
-        for (std::size_t c = 0; c < d; ++c) axes(comp, c) /= len;
+        for (std::size_t c = 0; c < d; ++c) axis[c] /= len;
       }
     }
+  } else {
+    // Covariance route: the eigenvectors are the axes.
+    components_ = leading_rows(eigen.eigenvectors, kept);
   }
 
   // Total variance for the ratio includes *all* variance, not only kept
   // components.
   double total = 0.0;
-  for (double v : variances) total += std::max(v, 0.0);
+  for (double v : eigen.eigenvalues) total += std::max(v, 0.0);
 
-  std::size_t kept = 0;
-  while (kept < max_components && kept < variances.size() &&
-         variances[kept] > 1e-12) {
-    ++kept;
-  }
-  AKS_CHECK(kept > 0, "PCA found no variance in the data");
-
-  components_.resize(kept, d);
-  explained_variance_.assign(variances.begin(),
-                             variances.begin() + static_cast<std::ptrdiff_t>(kept));
+  explained_variance_.assign(
+      eigen.eigenvalues.begin(),
+      eigen.eigenvalues.begin() + static_cast<std::ptrdiff_t>(kept));
   explained_variance_ratio_.resize(kept);
   for (std::size_t i = 0; i < kept; ++i) {
-    std::copy(axes.row(i).begin(), axes.row(i).end(),
-              components_.row(i).begin());
     explained_variance_ratio_[i] =
         total > 0.0 ? explained_variance_[i] / total : 0.0;
   }
+}
+
+void Pca::truncate(std::size_t k) {
+  AKS_CHECK(fitted(), "PCA used before fit");
+  AKS_CHECK(k > 0 && k <= num_components(),
+            "PCA truncate: need 1.." << num_components() << " components, got "
+            << k);
+  components_ = leading_rows(components_, k);
+  explained_variance_.resize(k);
+  explained_variance_ratio_.resize(k);
+  n_components_ = static_cast<int>(k);
 }
 
 std::size_t Pca::components_for_variance(double threshold) const {

@@ -7,7 +7,9 @@
 // When the data has more columns than rows (the 640-wide performance
 // vectors with ~140 training rows), the eigendecomposition runs on the
 // n x n Gram matrix instead of the d x d covariance — identical components,
-// much cheaper.
+// much cheaper — and the feature-space axes are formed only for the kept
+// components. One fit serves every dimensionality: pick the count from the
+// explained-variance curve, then truncate() instead of refitting.
 #pragma once
 
 #include <vector>
@@ -22,6 +24,11 @@ class Pca {
   explicit Pca(int n_components = 0) : n_components_(n_components) {}
 
   void fit(const common::Matrix& x);
+
+  /// Keeps only the first `k` components (1 <= k <= num_components()). The
+  /// result is bit-identical to Pca(k).fit on the same data, without a
+  /// second eigendecomposition.
+  void truncate(std::size_t k);
 
   [[nodiscard]] bool fitted() const { return !explained_variance_.empty(); }
   [[nodiscard]] std::size_t num_components() const {

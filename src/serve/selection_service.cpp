@@ -28,27 +28,6 @@ std::size_t round_up_pow2(std::size_t n) {
 constexpr std::uint32_t kLatencySampleStride = 32;
 thread_local std::uint32_t tl_latency_tick = 0;
 
-[[noreturn]] void reject_shape(const gemm::GemmShape& s) {
-  AKS_FAIL("invalid GEMM shape " << s.to_string()
-                                 << ": a dimension is zero or an operand's "
-                                    "element count overflows size_t");
-}
-
-// The input contract of select() and select_batch(): every dimension is
-// positive and every operand's element count (m·k, k·n, m·n) fits in
-// std::size_t. A bad shape is refused here, before it can be cached,
-// counted, handed to the warm-up or blamed on a kernel. The message is
-// built out of line so this check inlines into the hot path.
-inline void check_shape(const gemm::GemmShape& s) {
-  std::size_t elements = 0;
-  if (s.m == 0 || s.k == 0 || s.n == 0 ||
-      __builtin_mul_overflow(s.m, s.k, &elements) ||
-      __builtin_mul_overflow(s.k, s.n, &elements) ||
-      __builtin_mul_overflow(s.m, s.n, &elements)) {
-    reject_shape(s);
-  }
-}
-
 }  // namespace
 
 SelectionService::SelectionService(WarmUpFn warm_up, ServiceOptions options)
@@ -109,7 +88,7 @@ SelectionService::Shard& SelectionService::shard_for(
 }
 
 gemm::KernelConfig SelectionService::select(const gemm::GemmShape& shape) {
-  check_shape(shape);
+  gemm::check_shape(shape);
   std::optional<common::ScopedLatency> latency;
   if ((tl_latency_tick++ & (kLatencySampleStride - 1)) == 0) {
     latency.emplace(select_latency_);
@@ -143,7 +122,7 @@ gemm::KernelConfig SelectionService::select(const gemm::GemmShape& shape) {
 
 std::vector<gemm::KernelConfig> SelectionService::select_batch(
     std::span<const gemm::GemmShape> shapes) {
-  for (const gemm::GemmShape& shape : shapes) check_shape(shape);
+  for (const gemm::GemmShape& shape : shapes) gemm::check_shape(shape);
   batch_requests_.add();
   const std::size_t n = shapes.size();
   batch_shapes_.add(n);

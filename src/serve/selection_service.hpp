@@ -152,10 +152,10 @@ class SelectionService {
   SelectionService& operator=(const SelectionService&) = delete;
 
   /// Thread-safe: the kernel configuration to use for `shape`. Input
-  /// contract: no dimension is zero and no operand's element count (m·k,
-  /// k·n, m·n) overflows std::size_t; a shape outside it throws
-  /// common::Error before the cache is consulted, so it is never cached,
-  /// counted or passed to the warm-up.
+  /// contract: gemm::check_shape — no dimension is zero and no operand's
+  /// element count (m·k, k·n, m·n) overflows std::size_t; a shape outside
+  /// it throws common::Error before the cache is consulted, so it is never
+  /// cached, counted or passed to the warm-up.
   [[nodiscard]] gemm::KernelConfig select(const gemm::GemmShape& shape);
 
   /// Thread-safe batched resolution: the configuration for every shape in

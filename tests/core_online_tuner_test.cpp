@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/online.hpp"
 #include "faults/injector.hpp"
 #include "gemm/config.hpp"
@@ -102,6 +103,46 @@ TEST(OnlineTuner, FailingTrialRetriedUpToTrialAttempts) {
   EXPECT_EQ(timer_calls.load(), expected_calls);
   EXPECT_EQ(tuner.trial_failures(), static_cast<std::size_t>(expected_calls));
   EXPECT_EQ(tuner.degraded_selects(), 1u);
+}
+
+TEST(OnlineTuner, RejectsInvalidShapesBeforeAnySweep) {
+  // A caller's bad shape is refused at select(): it used to reach the
+  // trials, fail every one as if the kernels were at fault, quarantine the
+  // healthy candidates for good and cache the degraded fallback.
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+  const std::vector<std::size_t> candidates = {0, 100, 250, 400};
+  std::atomic<int> timer_calls{0};
+  const auto counting_timer = [&, timer = model_timer()](
+                                  const gemm::KernelConfig& c,
+                                  const gemm::GemmShape& s) {
+    timer_calls.fetch_add(1);
+    return timer(c, s);
+  };
+  OnlineTuner tuner(candidates, counting_timer);
+
+  const std::size_t huge = std::size_t{1} << 40;
+  const std::vector<gemm::GemmShape> bad = {
+      {0, 64, 1}, {0, 64, 2},       {0, 64, 3},       {64, 0, 64},
+      {64, 64, 0}, {huge, huge, 1}, {1, huge, huge}, {huge, 1, huge}};
+  for (const auto& shape : bad) {
+    EXPECT_THROW((void)tuner.select(shape), common::Error)
+        << shape.to_string();
+  }
+  EXPECT_TRUE(tuner.quarantined().empty());
+  EXPECT_EQ(tuner.cached_shapes(), 0u);
+  EXPECT_EQ(tuner.cache_hits(), 0u);
+  EXPECT_EQ(tuner.cache_misses(), 0u);
+  EXPECT_EQ(tuner.trial_failures(), 0u);
+  EXPECT_EQ(tuner.degraded_selects(), 0u);
+  EXPECT_EQ(timer_calls.load(), 0);
+
+  // The next valid shape gets its true best, as from a fresh tuner.
+  const gemm::GemmShape shape{256, 256, 256};
+  OnlineTuner fresh(candidates, model_timer());
+  const std::size_t expected = gemm::config_index(fresh.select(shape));
+  ASSERT_NE(expected, candidates.front());
+  EXPECT_EQ(gemm::config_index(tuner.select(shape)), expected);
+  EXPECT_EQ(timer_calls.load(), static_cast<int>(candidates.size()));
 }
 
 TEST(OnlineTunerConcurrency, ConcurrentSelectsAgreeOnEveryShape) {

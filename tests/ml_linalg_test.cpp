@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -151,8 +153,95 @@ TEST(Eigen, TraceEqualsEigenvalueSum) {
   EXPECT_NEAR(sum, trace, 1e-9);
 }
 
+/// Checks A v_i = lambda_i v_i, orthonormal rows and descending order, at
+/// the tolerances of the small-matrix tests above.
+void expect_valid_eigendecomposition(const Matrix& a, const EigenResult& r) {
+  const std::size_t n = a.rows();
+  ASSERT_EQ(r.eigenvalues.size(), n);
+  ASSERT_EQ(r.eigenvectors.rows(), n);
+  ASSERT_EQ(r.eigenvectors.cols(), n);
+  double worst_residual = 0.0;
+  double worst_orthonormality = 0.0;
+  for (std::size_t comp = 0; comp < n; ++comp) {
+    const auto v = r.eigenvectors.row(comp);
+    const auto av = matvec(a, v);
+    for (std::size_t i = 0; i < n; ++i) {
+      worst_residual = std::max(
+          worst_residual, std::abs(av[i] - r.eigenvalues[comp] * v[i]));
+    }
+    for (std::size_t other = 0; other < n; ++other) {
+      const double expected = comp == other ? 1.0 : 0.0;
+      worst_orthonormality = std::max(
+          worst_orthonormality,
+          std::abs(dot(v, r.eigenvectors.row(other)) - expected));
+    }
+    if (comp > 0) {
+      EXPECT_GE(r.eigenvalues[comp - 1], r.eigenvalues[comp]);
+    }
+  }
+  EXPECT_LE(worst_residual, 1e-8);
+  EXPECT_LE(worst_orthonormality, 1e-9);
+}
+
+TEST(Eigen, RankDeficientGramAtProductionShape) {
+  // The PCA Gram route sees XX^T for ~170 shapes whose performance vectors
+  // span far fewer than 170 directions.
+  common::Rng rng(11);
+  const std::size_t n = 172;
+  const std::size_t rank = 40;
+  Matrix x(n, rank);
+  for (auto& v : x.data()) v = rng.normal();
+  const Matrix gram = matmul(x, x.transposed());
+  const auto result = symmetric_eigen(gram);
+  expect_valid_eigendecomposition(gram, result);
+  EXPECT_GT(result.eigenvalues[rank - 1], 1.0);
+  for (std::size_t i = rank; i < n; ++i) {
+    EXPECT_NEAR(result.eigenvalues[i], 0.0, 1e-10 * result.eigenvalues[0]);
+  }
+}
+
+TEST(Eigen, IdentityHasOneRepeatedEigenvalue) {
+  const std::size_t n = 6;
+  Matrix a(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) = 1.0;
+  const auto result = symmetric_eigen(a);
+  expect_valid_eigendecomposition(a, result);
+  for (const double v : result.eigenvalues) EXPECT_NEAR(v, 1.0, 1e-10);
+}
+
+TEST(Eigen, BlockDiagonalWithRepeatedEigenvalues) {
+  // Two copies of [[2,1],[1,2]] (eigenvalues 3, 1) and a lone 3: the
+  // spectrum is {3, 3, 3, 1, 1}.
+  const Matrix a{{2, 1, 0, 0, 0},
+                 {1, 2, 0, 0, 0},
+                 {0, 0, 2, 1, 0},
+                 {0, 0, 1, 2, 0},
+                 {0, 0, 0, 0, 3}};
+  const auto result = symmetric_eigen(a);
+  expect_valid_eigendecomposition(a, result);
+  const std::vector<double> expected = {3, 3, 3, 1, 1};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(result.eigenvalues[i], expected[i], 1e-10);
+  }
+}
+
+TEST(Eigen, OneByOne) {
+  const Matrix a{{-4.5}};
+  const auto result = symmetric_eigen(a);
+  expect_valid_eigendecomposition(a, result);
+  EXPECT_DOUBLE_EQ(result.eigenvalues[0], -4.5);
+  EXPECT_DOUBLE_EQ(std::abs(result.eigenvectors(0, 0)), 1.0);
+}
+
+TEST(Eigen, EmptyMatrixHasNoEigenpairs) {
+  const auto result = symmetric_eigen(Matrix(0, 0));
+  EXPECT_TRUE(result.eigenvalues.empty());
+  EXPECT_EQ(result.eigenvectors.rows(), 0u);
+}
+
 TEST(Eigen, NonSquareThrows) {
   EXPECT_THROW((void)symmetric_eigen(Matrix(2, 3)), common::Error);
+  EXPECT_THROW((void)symmetric_eigen(Matrix(172, 171)), common::Error);
 }
 
 TEST(Linalg, PairwiseDistancesProperties) {

@@ -161,6 +161,44 @@ TEST(Pca, TruncationReducesComponents) {
   EXPECT_EQ(pca.transform(x).cols(), 2u);
 }
 
+/// truncate(k) on a full fit must equal Pca(k).fit bit for bit.
+void expect_truncation_matches_refit(const Matrix& x, std::size_t k) {
+  Pca truncated;
+  truncated.fit(x);
+  ASSERT_GT(truncated.num_components(), k);
+  truncated.truncate(k);
+  Pca refit(static_cast<int>(k));
+  refit.fit(x);
+  ASSERT_EQ(truncated.num_components(), k);
+  EXPECT_EQ(truncated.components(), refit.components());
+  EXPECT_EQ(truncated.explained_variance(), refit.explained_variance());
+  EXPECT_EQ(truncated.explained_variance_ratio(),
+            refit.explained_variance_ratio());
+  EXPECT_EQ(truncated.mean(), refit.mean());
+  const Matrix z = truncated.transform(x);
+  EXPECT_EQ(z, refit.transform(x));
+  EXPECT_EQ(truncated.inverse_transform(z), refit.inverse_transform(z));
+}
+
+TEST(Pca, TruncateEqualsRefitOnCovarianceRoute) {
+  expect_truncation_matches_refit(anisotropic_data(50, 8, 23), 3);
+}
+
+TEST(Pca, TruncateEqualsRefitOnGramRoute) {
+  common::Rng rng(29);
+  Matrix x(12, 40);  // wide: Gram route
+  for (auto& v : x.data()) v = rng.normal();
+  expect_truncation_matches_refit(x, 4);
+}
+
+TEST(Pca, TruncateRejectsBadCounts) {
+  Pca pca;
+  EXPECT_THROW(pca.truncate(1), common::Error);  // before fit
+  pca.fit(anisotropic_data(20, 4, 5));
+  EXPECT_THROW(pca.truncate(0), common::Error);
+  EXPECT_THROW(pca.truncate(pca.num_components() + 1), common::Error);
+}
+
 TEST(Pca, ComponentsForVarianceThresholds) {
   const Matrix x = anisotropic_data(80, 6, 31);
   Pca pca;
