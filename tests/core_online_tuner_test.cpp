@@ -106,8 +106,8 @@ TEST(OnlineTuner, FailingTrialRetriedUpToTrialAttempts) {
 }
 
 TEST(OnlineTuner, RejectsInvalidShapesBeforeAnySweep) {
-  // A caller's bad shape is refused at select(): it used to reach the
-  // trials, fail every one as if the kernels were at fault, quarantine the
+  // A caller's bad shape is refused at select(). Reaching the trials, it
+  // would fail every one as if the kernels were at fault, quarantine the
   // healthy candidates for good and cache the degraded fallback.
   faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
   const std::vector<std::size_t> candidates = {0, 100, 250, 400};
