@@ -1,11 +1,8 @@
 #include "check/checked_conv.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <sstream>
 
-#include "common/rng.hpp"
 #include "conv/im2col.hpp"
 #include "conv/winograd.hpp"
 
@@ -17,10 +14,6 @@ namespace {
 /// error; the conv oracle comparison uses a correspondingly wider band
 /// (matching the conv test suite's expectations).
 constexpr double kConvTolerance = 5e-3;
-
-void fill_uniform(std::span<float> out, common::Rng& rng) {
-  for (auto& v : out) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-}
 
 /// Recording flat-GEMM launcher for the im2col hook: copies operands into
 /// checked buffers, replays the kernel, copies the result back out.
@@ -83,33 +76,9 @@ CheckResult check_conv(const std::string& label,
   queue.set_deterministic_replay(true);
   run_lowering(queue, monitor, input, filter, actual);
 
-  CheckResult result;
-  std::size_t worst_index = 0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double err = std::abs(static_cast<double>(actual[i]) -
-                                static_cast<double>(expected[i]));
-    if (err > result.max_abs_error) {
-      result.max_abs_error = err;
-      worst_index = i;
-    }
-  }
-  if (result.max_abs_error > kConvTolerance ||
-      !std::isfinite(result.max_abs_error)) {
-    result.numerics_ok = false;
-    std::ostringstream os;
-    os << "conv output diverges from direct_conv2d by " << result.max_abs_error
-       << " (tolerance " << kConvTolerance << ")";
-    monitor.report({.kind = DiagnosticKind::numeric_divergence,
-                    .kernel = {},
-                    .buffer = "output",
-                    .index = worst_index,
-                    .group_a = kNoGroup,
-                    .group_b = kNoGroup,
-                    .message = os.str()});
-  }
-  result.findings = monitor.findings();
-  result.dropped_findings = monitor.dropped();
-  return result;
+  return compare_to_reference(monitor, actual, expected, kConvTolerance,
+                              "output",
+                              "conv output diverges from direct_conv2d");
 }
 
 }  // namespace
@@ -173,23 +142,14 @@ RegistryCheckSummary check_conv_lowerings(std::size_t config_stride) {
   const auto& configs = gemm::enumerate_configs();
   const auto corpus = default_conv_corpus();
 
-  const auto absorb = [&summary](const CheckResult& result) {
-    ++summary.launches;
-    summary.dropped_findings += result.dropped_findings;
-    summary.max_abs_error =
-        std::max(summary.max_abs_error, result.max_abs_error);
-    summary.findings.insert(summary.findings.end(), result.findings.begin(),
-                            result.findings.end());
-  };
-
   for (std::size_t i = 0; i < configs.size(); i += config_stride) {
     const auto& config = configs[i];
     ++summary.configs_checked;
     for (const auto& shape : corpus) {
-      absorb(check_im2col_conv(config, shape));
+      summary.absorb(check_im2col_conv(config, shape));
       if (conv::winograd_applicable(shape)) {
-        absorb(check_winograd_conv(config, shape));
-        absorb(check_winograd4_conv(config, shape));
+        summary.absorb(check_winograd_conv(config, shape));
+        summary.absorb(check_winograd4_conv(config, shape));
       }
     }
   }

@@ -3,9 +3,10 @@
 // The conv module lowers every convolution to the tiled GEMM family
 // (im2col: one multiply; Winograd F(2x2)/F(4x4): 16/36 batched multiplies).
 // These entry points run the *production* lowering code with the GEMM
-// launch swapped for a recording one (via the conv module's launcher
-// injection hooks), so the patch/transform bookkeeping and the kernels are
-// analysed together, and verify the result against direct_conv2d.
+// launch swapped for a recording one (the `launch` parameter of each
+// lowering, which defaults to the shipping launch), so the patch/transform
+// bookkeeping and the kernels are analysed together, and verify the result
+// against direct_conv2d.
 #pragma once
 
 #include <vector>

@@ -1,13 +1,10 @@
 #include "check/checked_gemm.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
-#include <tuple>
 
-#include "check/checked_buffer.hpp"
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "gemm/hierarchical_kernel.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/tiled_kernel.hpp"
@@ -17,109 +14,10 @@ namespace aks::check {
 
 namespace {
 
-using ReadAcc = CheckedAccessor<const float>;
-using WriteAcc = CheckedAccessor<float>;
-using Key = std::tuple<int, int, int>;
-
 /// Numerical tolerance against the scalar reference (operands in [-1, 1],
 /// K bounded by the corpus; pure float summation-order error).
 constexpr double kTolerance = 1e-3;
-
-using CheckedLauncher = syclrt::Event (*)(syclrt::Queue&, ReadAcc, ReadAcc,
-                                          WriteAcc, gemm::GemmShape, int, int);
-using CheckedBatchedLauncher = syclrt::Event (*)(syclrt::Queue&, ReadAcc,
-                                                 ReadAcc, WriteAcc,
-                                                 gemm::GemmShape, std::size_t,
-                                                 int, int);
-
-template <int RowTile, int ColTile, int AccSize>
-syclrt::Event launch_checked(syclrt::Queue& queue, ReadAcc a, ReadAcc b,
-                             WriteAcc c, gemm::GemmShape shape, int wg_rows,
-                             int wg_cols) {
-  // Identical launch geometry to registry.cpp: one item per output tile,
-  // padded to whole work-groups.
-  const std::size_t tiles_r =
-      (shape.m + RowTile - 1) / static_cast<std::size_t>(RowTile);
-  const std::size_t tiles_c =
-      (shape.n + ColTile - 1) / static_cast<std::size_t>(ColTile);
-  const syclrt::NdRange<2> range(
-      syclrt::Range<2>(tiles_r, tiles_c),
-      syclrt::Range<2>(static_cast<std::size_t>(wg_rows),
-                       static_cast<std::size_t>(wg_cols)));
-  const gemm::TiledGemmKernel<RowTile, ColTile, AccSize, ReadAcc, WriteAcc>
-      kernel(a, b, c, shape);
-  return queue.parallel_for(range, kernel);
-}
-
-template <int RowTile, int ColTile, int AccSize>
-syclrt::Event launch_checked_batched(syclrt::Queue& queue, ReadAcc a,
-                                     ReadAcc b, WriteAcc c,
-                                     gemm::GemmShape shape, std::size_t batch,
-                                     int wg_rows, int wg_cols) {
-  const std::size_t tiles_r =
-      (shape.m + RowTile - 1) / static_cast<std::size_t>(RowTile);
-  const std::size_t tiles_c =
-      (shape.n + ColTile - 1) / static_cast<std::size_t>(ColTile);
-  const syclrt::NdRange<3> range(
-      syclrt::Range<3>(batch, tiles_r, tiles_c),
-      syclrt::Range<3>(std::size_t{1}, static_cast<std::size_t>(wg_rows),
-                       static_cast<std::size_t>(wg_cols)));
-  const gemm::BatchedTiledGemmKernel<RowTile, ColTile, AccSize, ReadAcc,
-                                     WriteAcc>
-      kernel(a, b, c, shape, batch);
-  return queue.parallel_for(range, kernel);
-}
-
-struct CheckedEntry {
-  CheckedLauncher flat;
-  CheckedBatchedLauncher batched;
-};
-
-template <int RowTile, int ColTile, int AccSize>
-void register_one(std::map<Key, CheckedEntry>& table) {
-  table.emplace(Key{RowTile, ColTile, AccSize},
-                CheckedEntry{&launch_checked<RowTile, ColTile, AccSize>,
-                             &launch_checked_batched<RowTile, ColTile,
-                                                     AccSize>});
-}
-
-template <int RowTile, int ColTile>
-void register_acc(std::map<Key, CheckedEntry>& table) {
-  register_one<RowTile, ColTile, 1>(table);
-  register_one<RowTile, ColTile, 2>(table);
-  register_one<RowTile, ColTile, 4>(table);
-  register_one<RowTile, ColTile, 8>(table);
-}
-
-template <int RowTile>
-void register_col(std::map<Key, CheckedEntry>& table) {
-  register_acc<RowTile, 1>(table);
-  register_acc<RowTile, 2>(table);
-  register_acc<RowTile, 4>(table);
-  register_acc<RowTile, 8>(table);
-}
-
-/// The 64 compiled instantiations over checked accessors (mirrors the
-/// shipping registry's cross product).
-const std::map<Key, CheckedEntry>& checked_registry() {
-  static const std::map<Key, CheckedEntry> table = [] {
-    std::map<Key, CheckedEntry> t;
-    register_col<1>(t);
-    register_col<2>(t);
-    register_col<4>(t);
-    register_col<8>(t);
-    return t;
-  }();
-  return table;
-}
-
-const CheckedEntry& find_checked(const gemm::KernelConfig& config) {
-  const auto it = checked_registry().find(
-      Key{config.row_tile, config.col_tile, config.acc_size});
-  AKS_CHECK(it != checked_registry().end(),
-            "no checked kernel for " << config.name());
-  return it->second;
-}
+constexpr std::string_view kDivergence = "output diverges from reference";
 
 /// Deterministic operand seed from the launch parameters (valid for
 /// non-canonical configs too, unlike config_index()).
@@ -139,13 +37,17 @@ std::uint64_t operand_seed(const gemm::KernelConfig& config,
   return seed;
 }
 
+}  // namespace
+
 void fill_uniform(std::span<float> out, common::Rng& rng) {
   for (auto& v : out) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 }
 
-/// Compares checked output against the reference and finalises the result.
-CheckResult finalise(AccessMonitor& monitor, std::span<const float> actual,
-                     std::span<const float> expected) {
+CheckResult compare_to_reference(AccessMonitor& monitor,
+                                 std::span<const float> actual,
+                                 std::span<const float> expected,
+                                 double tolerance, const std::string& buffer,
+                                 std::string_view divergence) {
   CheckResult result;
   std::size_t worst_index = 0;
   for (std::size_t i = 0; i < actual.size(); ++i) {
@@ -156,15 +58,15 @@ CheckResult finalise(AccessMonitor& monitor, std::span<const float> actual,
       worst_index = i;
     }
   }
-  if (result.max_abs_error > kTolerance ||
+  if (result.max_abs_error > tolerance ||
       !std::isfinite(result.max_abs_error)) {
     result.numerics_ok = false;
     std::ostringstream os;
-    os << "output diverges from reference by " << result.max_abs_error
-       << " (tolerance " << kTolerance << ")";
+    os << divergence << " by " << result.max_abs_error << " (tolerance "
+       << tolerance << ")";
     monitor.report({.kind = DiagnosticKind::numeric_divergence,
                     .kernel = {},
-                    .buffer = "C",
+                    .buffer = buffer,
                     .index = worst_index,
                     .group_a = kNoGroup,
                     .group_b = kNoGroup,
@@ -175,7 +77,13 @@ CheckResult finalise(AccessMonitor& monitor, std::span<const float> actual,
   return result;
 }
 
-}  // namespace
+void RegistryCheckSummary::absorb(const CheckResult& result) {
+  ++launches;
+  dropped_findings += result.dropped_findings;
+  max_abs_error = std::max(max_abs_error, result.max_abs_error);
+  findings.insert(findings.end(), result.findings.begin(),
+                  result.findings.end());
+}
 
 syclrt::Event launch_checked_gemm(syclrt::Queue& queue,
                                   const gemm::KernelConfig& config,
@@ -183,8 +91,7 @@ syclrt::Event launch_checked_gemm(syclrt::Queue& queue,
                                   CheckedAccessor<const float> b,
                                   CheckedAccessor<float> c,
                                   const gemm::GemmShape& shape) {
-  return find_checked(config).flat(queue, a, b, c, shape, config.wg_rows,
-                                   config.wg_cols);
+  return gemm::launch_tiled(queue, config, a, b, c, shape);
 }
 
 syclrt::Event launch_checked_batched_gemm(syclrt::Queue& queue,
@@ -194,8 +101,7 @@ syclrt::Event launch_checked_batched_gemm(syclrt::Queue& queue,
                                           CheckedAccessor<float> c,
                                           const gemm::GemmShape& shape,
                                           std::size_t batch) {
-  return find_checked(config).batched(queue, a, b, c, shape, batch,
-                                      config.wg_rows, config.wg_cols);
+  return gemm::launch_tiled_batched(queue, config, a, b, c, shape, batch);
 }
 
 CheckResult check_gemm(const gemm::KernelConfig& config,
@@ -217,9 +123,10 @@ CheckResult check_gemm(const gemm::KernelConfig& config,
 
   syclrt::Queue queue;
   queue.set_deterministic_replay(true);
-  find_checked(config).flat(queue, a_buf.read(), b_buf.read(), c_buf.write(),
-                            shape, config.wg_rows, config.wg_cols);
-  return finalise(monitor, c_buf.host(), expected);
+  launch_checked_gemm(queue, config, a_buf.read(), b_buf.read(),
+                      c_buf.write(), shape);
+  return compare_to_reference(monitor, c_buf.host(), expected, kTolerance,
+                              "C", kDivergence);
 }
 
 CheckResult check_batched_gemm(const gemm::KernelConfig& config,
@@ -253,10 +160,10 @@ CheckResult check_batched_gemm(const gemm::KernelConfig& config,
 
   syclrt::Queue queue;
   queue.set_deterministic_replay(true);
-  find_checked(config).batched(queue, a_buf.read(), b_buf.read(),
-                               c_buf.write(), shape, batch, config.wg_rows,
-                               config.wg_cols);
-  return finalise(monitor, c_buf.host(), expected);
+  launch_checked_batched_gemm(queue, config, a_buf.read(), b_buf.read(),
+                              c_buf.write(), shape, batch);
+  return compare_to_reference(monitor, c_buf.host(), expected, kTolerance,
+                              "C", kDivergence);
 }
 
 CheckResult check_hierarchical_gemm(const gemm::GemmShape& shape) {
@@ -279,7 +186,8 @@ CheckResult check_hierarchical_gemm(const gemm::GemmShape& shape) {
   queue.set_deterministic_replay(true);
   gemm::basic_hierarchical_gemm<8>(queue, a_buf.read(), b_buf.read(),
                                    c_buf.write(), shape);
-  return finalise(monitor, c_buf.host(), expected);
+  return compare_to_reference(monitor, c_buf.host(), expected, kTolerance,
+                              "C", kDivergence);
 }
 
 std::vector<gemm::GemmShape> default_shape_corpus() {
@@ -303,27 +211,18 @@ RegistryCheckSummary check_registry(const RegistryCheckOptions& options) {
     limit = options.max_configs;
   }
 
-  const auto absorb = [&summary](const CheckResult& result) {
-    ++summary.launches;
-    summary.dropped_findings += result.dropped_findings;
-    summary.max_abs_error =
-        std::max(summary.max_abs_error, result.max_abs_error);
-    summary.findings.insert(summary.findings.end(), result.findings.begin(),
-                            result.findings.end());
-  };
-
   for (std::size_t i = 0; i < limit; ++i) {
     const gemm::KernelConfig& config = configs[i];
     ++summary.configs_checked;
     for (const auto& shape : shapes) {
-      absorb(check_gemm(config, shape));
+      summary.absorb(check_gemm(config, shape));
     }
     // The batched kernel shares the compiled instantiation; replay it once
     // per config on a small ragged batch.
-    absorb(check_batched_gemm(config, {9, 5, 7}, 3));
+    summary.absorb(check_batched_gemm(config, {9, 5, 7}, 3));
   }
   for (const auto& shape : shapes) {
-    absorb(check_hierarchical_gemm(shape));
+    summary.absorb(check_hierarchical_gemm(shape));
   }
   return summary;
 }

@@ -1,10 +1,12 @@
 // Checked execution pass: replays GEMM kernels over recording accessors.
 //
-// Every compiled instantiation of the tiled kernel family is re-instantiated
-// here over `CheckedAccessor`s — the exact same kernel bodies the shipping
-// registry launches, compiled against shadow-recording memory — and replayed
-// deterministically (single-threaded, canonical group order) on synthetic
-// operands. The pass reports:
+// The checked launches call the same dispatch and launch geometry as the
+// shipping ones (gemm::launch_tiled / launch_tiled_batched in
+// gemm/tiled_kernel.hpp), instantiated over `CheckedAccessor`s instead of
+// spans — the exact same kernel bodies, compiled against shadow-recording
+// memory, so the analysed path is the shipped one by construction. They
+// replay deterministically (single-threaded, canonical group order) on
+// synthetic operands. The pass reports:
 //
 //   * memory-safety findings (out-of-bounds, unguarded tail accesses,
 //     cross-work-group races) via the AccessMonitor, and
@@ -18,19 +20,23 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/checked_buffer.hpp"
 #include "check/diagnostics.hpp"
+#include "common/rng.hpp"
 #include "gemm/config.hpp"
 #include "gemm/shape.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::check {
 
-/// Launches the checked instantiation matching `config` (same launch
-/// geometry as the shipping registry). The queue should be in
-/// deterministic replay mode; throws for an unknown compile-time triple.
+/// Launches the instantiation matching `config` over checked accessors,
+/// through the shipping dispatch and launch geometry. The queue should be
+/// in deterministic replay mode; throws for an unknown compile-time triple.
 syclrt::Event launch_checked_gemm(syclrt::Queue& queue,
                                   const gemm::KernelConfig& config,
                                   CheckedAccessor<const float> a,
@@ -60,6 +66,19 @@ struct CheckResult {
   }
   bool numerics_ok = true;
 };
+
+/// Fills `out` with uniform operands in [-1, 1).
+void fill_uniform(std::span<float> out, common::Rng& rng);
+
+/// Compares a replay's output against its reference and finalises the
+/// result: a largest |actual - expected| above `tolerance` (or non-finite)
+/// is reported as one numeric_divergence on `buffer` at the worst index,
+/// with the message "<divergence> by <error> (tolerance <tolerance>)";
+/// the monitor's findings are then copied into the result.
+[[nodiscard]] CheckResult compare_to_reference(
+    AccessMonitor& monitor, std::span<const float> actual,
+    std::span<const float> expected, double tolerance,
+    const std::string& buffer, std::string_view divergence);
 
 /// Replays one configuration on one shape with checked accessors and
 /// verifies the output against reference_gemm. Operands are seeded
@@ -95,6 +114,8 @@ struct RegistryCheckSummary {
   [[nodiscard]] bool clean() const {
     return findings.empty() && dropped_findings == 0;
   }
+  /// Counts one checked launch and folds its result in.
+  void absorb(const CheckResult& result);
 };
 
 /// Sweeps the kernel zoo (registry configurations x shape corpus, plus one

@@ -1,7 +1,10 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
+
+#include "common/error.hpp"
 
 namespace aks::common {
 
@@ -57,6 +60,18 @@ std::string pad_left(std::string_view s, std::size_t width) {
 std::string pad_right(std::string_view s, std::size_t width) {
   if (s.size() >= width) return std::string(s);
   return std::string(s) + std::string(width - s.size(), ' ');
+}
+
+std::size_t parse_size(std::string_view text, std::string_view what) {
+  AKS_CHECK(!text.empty() &&
+                text.find_first_not_of("0123456789") == std::string_view::npos,
+            what << " must be a non-negative integer, got '" << text << "'");
+  std::size_t value = 0;
+  const auto result =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  AKS_CHECK(result.ec == std::errc{},
+            what << " is out of range: '" << text << "'");
+  return value;
 }
 
 }  // namespace aks::common

@@ -30,4 +30,10 @@ namespace aks::common {
 /// Right-pads with spaces to the given width.
 [[nodiscard]] std::string pad_right(std::string_view s, std::size_t width);
 
+/// Parses a non-negative decimal integer (command-line values). Throws
+/// common::Error naming `what` on empty, non-digit or overflowing input
+/// instead of letting a std exception escape or a sign wrap around.
+[[nodiscard]] std::size_t parse_size(std::string_view text,
+                                     std::string_view what);
+
 }  // namespace aks::common

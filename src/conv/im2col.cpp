@@ -1,7 +1,6 @@
 #include "conv/im2col.hpp"
 
 #include "common/error.hpp"
-#include "gemm/registry.hpp"
 
 namespace aks::conv {
 
@@ -54,13 +53,6 @@ std::vector<float> im2col_transform(std::span<const float> input,
     }
   }
   return patches;
-}
-
-void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                   std::span<const float> input, std::span<const float> filter,
-                   std::span<float> output, const ConvShape& shape) {
-  im2col_conv2d(queue, config, input, filter, output, shape,
-                gemm::launch_gemm);
 }
 
 void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,

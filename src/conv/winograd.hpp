@@ -18,14 +18,15 @@
 
 #include "conv/direct.hpp"
 #include "gemm/config.hpp"
+#include "gemm/registry.hpp"
 #include "gemm/shape.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::conv {
 
-/// Launch used for the batched transformed multiplies. The default
-/// forwards to gemm::launch_batched_gemm; the checked execution mode
-/// (src/check) injects a recording launcher (see conv/im2col.hpp).
+/// Launch used for the batched transformed multiplies:
+/// gemm::launch_batched_gemm by default. The checked execution mode
+/// (src/check) passes a recording launcher (see conv/im2col.hpp).
 using BatchedGemmLaunchFn = std::function<syclrt::Event(
     syclrt::Queue&, const gemm::KernelConfig&, std::span<const float>,
     std::span<const float>, std::span<float>, const gemm::GemmShape&,
@@ -49,19 +50,14 @@ inline constexpr std::size_t kWinogradF4Multiplies = kWinogradMultiplies<4>;
 [[nodiscard]] gemm::GemmShape winograd_gemm_shape(const ConvShape& shape);
 
 /// Runs the convolution via Winograd F(2x2, 3x3), executing the sixteen
-/// multiplies with the tiled GEMM kernel `config`. Output layout matches
-/// direct_conv2d. Throws when the shape is invalid or not applicable.
-void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                     std::span<const float> input,
-                     std::span<const float> filter, std::span<float> output,
-                     const ConvShape& shape);
-
-/// As above with an injected batched GEMM launch.
-void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                     std::span<const float> input,
-                     std::span<const float> filter, std::span<float> output,
-                     const ConvShape& shape,
-                     const BatchedGemmLaunchFn& launch);
+/// multiplies with the tiled GEMM kernel `config` as one batched `launch`.
+/// Output layout matches direct_conv2d. Throws when the shape is invalid or
+/// not applicable.
+void winograd_conv2d(
+    syclrt::Queue& queue, const gemm::KernelConfig& config,
+    std::span<const float> input, std::span<const float> filter,
+    std::span<float> output, const ConvShape& shape,
+    const BatchedGemmLaunchFn& launch = gemm::launch_batched_gemm);
 
 /// Shape of each of the thirty-six F(4x4,3x3) multiplies:
 /// M = batch * ceil(out_h/4) * ceil(out_w/4), K = in_c, N = out_c.
@@ -69,16 +65,10 @@ void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
 
 /// Runs the convolution via Winograd F(4x4, 3x3) (same applicability rules
 /// as F(2x2, 3x3): dense 3x3, stride 1).
-void winograd4_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                      std::span<const float> input,
-                      std::span<const float> filter, std::span<float> output,
-                      const ConvShape& shape);
-
-/// As above with an injected batched GEMM launch.
-void winograd4_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                      std::span<const float> input,
-                      std::span<const float> filter, std::span<float> output,
-                      const ConvShape& shape,
-                      const BatchedGemmLaunchFn& launch);
+void winograd4_conv2d(
+    syclrt::Queue& queue, const gemm::KernelConfig& config,
+    std::span<const float> input, std::span<const float> filter,
+    std::span<float> output, const ConvShape& shape,
+    const BatchedGemmLaunchFn& launch = gemm::launch_batched_gemm);
 
 }  // namespace aks::conv

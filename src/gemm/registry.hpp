@@ -1,13 +1,13 @@
-// Type-erased launch table over the 64 compiled kernel instantiations.
+// The shipping launches of the tiled GEMM family.
 //
-// This is the piece the paper's library-size argument is about: every entry
-// here is a separately compiled kernel that a shipping library must carry.
-// `launch_gemm` picks the instantiation matching a KernelConfig's
-// compile-time parameters and launches it with the config's runtime
-// work-group shape.
+// This is the piece the paper's library-size argument is about: each of the
+// 64 {1,2,4,8}^3 tile/accumulator triples is a separately compiled kernel
+// that a shipping library must carry. `launch_gemm` checks the operands,
+// then dispatches a KernelConfig's compile-time triple onto its
+// instantiation and launches it with the config's runtime work-group shape
+// — both through the one dispatch and geometry in gemm/tiled_kernel.hpp.
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "gemm/config.hpp"
@@ -16,28 +16,21 @@
 
 namespace aks::gemm {
 
-/// Signature of a type-erased kernel launcher.
-using KernelLauncher = std::function<syclrt::Event(
-    syclrt::Queue&, std::span<const float>, std::span<const float>,
-    std::span<float>, GemmShape, int wg_rows, int wg_cols)>;
-
-/// Number of compiled kernel instantiations in the registry (64).
+/// Number of compiled kernel instantiations (64: tile_sizes() cubed).
 [[nodiscard]] std::size_t registry_size();
 
-/// The launcher for a (row_tile, col_tile, acc_size) triple; throws
-/// common::Error when the triple is not one of the 64 compiled kernels.
-[[nodiscard]] const KernelLauncher& find_kernel(int row_tile, int col_tile,
-                                                int acc_size);
-
 /// Runs C = A * B with the given configuration on `queue`.
-/// Validates operand sizes; returns the launch event (with wall time).
+/// Validates the shape (gemm::check_shape) and operand sizes; throws
+/// common::Error for a compile-time triple outside {1,2,4,8}^3. Returns the
+/// launch event (with wall time).
 syclrt::Event launch_gemm(syclrt::Queue& queue, const KernelConfig& config,
                           std::span<const float> a, std::span<const float> b,
                           std::span<float> c, const GemmShape& shape);
 
 /// Runs `batch` independent multiplies of identical `shape` as ONE launch.
 /// Operands are packed contiguously per batch entry (A: batch*m*k floats,
-/// etc.). Used by the Winograd path for its sixteen transformed multiplies.
+/// etc.); a batch whose packed operand sizes overflow is rejected. Used by
+/// the Winograd path for its transformed multiplies.
 syclrt::Event launch_batched_gemm(syclrt::Queue& queue,
                                   const KernelConfig& config,
                                   std::span<const float> a,

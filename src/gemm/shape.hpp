@@ -39,19 +39,23 @@ struct GemmShape {
 /// Throws common::Error naming the shape; the cold half of check_shape.
 [[noreturn]] void reject_shape(const GemmShape& shape);
 
-/// The input contract of every GEMM selection entry point: each dimension
-/// is positive and each operand's element count (m·k, k·n, m·n) fits in
-/// std::size_t. A bad shape is refused before it can be cached, counted,
-/// swept or blamed on a kernel. Inline so the check costs a few compares
-/// on a hot path; the message is built out of line.
-inline void check_shape(const GemmShape& shape) {
+/// The input contract of every GEMM entry point — selection, launch, cost
+/// model, store and CLIs: each dimension is positive and each operand's
+/// element count (m·k, k·n, m·n) fits in std::size_t. Inline so the check
+/// costs a few compares on a hot path.
+[[nodiscard]] inline bool valid_shape(const GemmShape& shape) {
   std::size_t elements = 0;
-  if (shape.m == 0 || shape.k == 0 || shape.n == 0 ||
-      __builtin_mul_overflow(shape.m, shape.k, &elements) ||
-      __builtin_mul_overflow(shape.k, shape.n, &elements) ||
-      __builtin_mul_overflow(shape.m, shape.n, &elements)) {
-    reject_shape(shape);
-  }
+  return shape.m != 0 && shape.k != 0 && shape.n != 0 &&
+         !__builtin_mul_overflow(shape.m, shape.k, &elements) &&
+         !__builtin_mul_overflow(shape.k, shape.n, &elements) &&
+         !__builtin_mul_overflow(shape.m, shape.n, &elements);
+}
+
+/// Throws common::Error unless valid_shape(shape). A bad shape is refused
+/// before it can be cached, counted, swept, launched or blamed on a kernel;
+/// the message is built out of line.
+inline void check_shape(const GemmShape& shape) {
+  if (!valid_shape(shape)) reject_shape(shape);
 }
 
 }  // namespace aks::gemm

@@ -18,12 +18,20 @@
 // checked execution mode (src/check) can instantiate the very same kernel
 // over recording accessors — the analysed code path is the shipped one, not
 // a checked re-implementation.
+//
+// The {1,2,4,8}^3 instantiation set (`with_tiled_kernel`) and the launch
+// geometry (`launch_tiled`, `launch_tiled_batched`) live here once; the
+// shipping launches (registry.cpp) and the checked replay (src/check) both
+// go through them.
 #pragma once
 
 #include <span>
+#include <type_traits>
 
+#include "common/error.hpp"
+#include "gemm/config.hpp"
 #include "gemm/shape.hpp"
-#include "syclrt/nd_item.hpp"
+#include "syclrt/queue.hpp"
 
 namespace aks::gemm {
 
@@ -150,5 +158,85 @@ class BatchedTiledGemmKernel {
   GemmShape shape_;
   std::size_t batch_;
 };
+
+namespace detail {
+
+/// Calls fn(std::integral_constant<int, V>{}) for the compiled size V equal
+/// to `value`; throws naming `config` when `value` is not in {1,2,4,8}.
+template <typename Fn>
+decltype(auto) with_tile_size(int value, const KernelConfig& config, Fn&& fn) {
+  switch (value) {
+    case 1: return fn(std::integral_constant<int, 1>{});
+    case 2: return fn(std::integral_constant<int, 2>{});
+    case 4: return fn(std::integral_constant<int, 4>{});
+    case 8: return fn(std::integral_constant<int, 8>{});
+    default:
+      AKS_FAIL("no compiled kernel for tile " << config.row_tile << "x"
+               << config.col_tile << " acc " << config.acc_size);
+  }
+}
+
+/// Work-items along one output dimension: one per (possibly partial) tile.
+inline std::size_t tile_count(std::size_t extent, int tile) {
+  return (extent + static_cast<std::size_t>(tile) - 1) /
+         static_cast<std::size_t>(tile);
+}
+
+}  // namespace detail
+
+/// The 64 compiled kernels: calls fn(row_tile, col_tile, acc_size) with each
+/// argument a std::integral_constant<int, V> matching the config's
+/// compile-time triple, so `fn` can name TiledGemmKernel<...> directly.
+/// Throws common::Error for a triple outside {1,2,4,8}^3.
+template <typename Fn>
+decltype(auto) with_tiled_kernel(const KernelConfig& config, Fn&& fn) {
+  return detail::with_tile_size(config.row_tile, config, [&](auto rt) {
+    return detail::with_tile_size(config.col_tile, config, [&](auto ct) {
+      return detail::with_tile_size(config.acc_size, config, [&](auto acc) {
+        return fn(rt, ct, acc);
+      });
+    });
+  });
+}
+
+/// Launches C = A * B with `config`: one work-item per output tile, padded
+/// to whole work-groups of the config's runtime shape; the kernel guards the
+/// padding (SYCL-DNN launch convention). Operand sizes are the caller's
+/// contract.
+template <typename ConstAcc, typename MutAcc>
+syclrt::Event launch_tiled(syclrt::Queue& queue, const KernelConfig& config,
+                           ConstAcc a, ConstAcc b, MutAcc c,
+                           const GemmShape& shape) {
+  return with_tiled_kernel(config, [&](auto rt, auto ct, auto acc) {
+    const syclrt::NdRange<2> range(
+        syclrt::Range<2>(detail::tile_count(shape.m, rt),
+                         detail::tile_count(shape.n, ct)),
+        syclrt::Range<2>(static_cast<std::size_t>(config.wg_rows),
+                         static_cast<std::size_t>(config.wg_cols)));
+    return queue.parallel_for(
+        range, TiledGemmKernel<rt, ct, acc, ConstAcc, MutAcc>(a, b, c, shape));
+  });
+}
+
+/// Batched counterpart: the same tile grid per batch entry behind a leading
+/// batch dimension of local size 1, so one work-group handles one entry's
+/// tile block.
+template <typename ConstAcc, typename MutAcc>
+syclrt::Event launch_tiled_batched(syclrt::Queue& queue,
+                                   const KernelConfig& config, ConstAcc a,
+                                   ConstAcc b, MutAcc c,
+                                   const GemmShape& shape, std::size_t batch) {
+  return with_tiled_kernel(config, [&](auto rt, auto ct, auto acc) {
+    const syclrt::NdRange<3> range(
+        syclrt::Range<3>(batch, detail::tile_count(shape.m, rt),
+                         detail::tile_count(shape.n, ct)),
+        syclrt::Range<3>(std::size_t{1},
+                         static_cast<std::size_t>(config.wg_rows),
+                         static_cast<std::size_t>(config.wg_cols)));
+    return queue.parallel_for(
+        range, BatchedTiledGemmKernel<rt, ct, acc, ConstAcc, MutAcc>(
+                   a, b, c, shape, batch));
+  });
+}
 
 }  // namespace aks::gemm

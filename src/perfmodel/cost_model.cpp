@@ -27,8 +27,7 @@ CostModel::CostModel(DeviceSpec spec) : spec_(std::move(spec)) {
 
 CostBreakdown CostModel::evaluate(const gemm::KernelConfig& config,
                                   const gemm::GemmShape& shape) const {
-  AKS_CHECK(shape.m > 0 && shape.k > 0 && shape.n > 0,
-            "degenerate shape " << shape.to_string());
+  gemm::check_shape(shape);
 
   const double m = static_cast<double>(shape.m);
   const double k = static_cast<double>(shape.k);
@@ -186,7 +185,9 @@ double CostModel::predict_batched_seconds(const gemm::KernelConfig& config,
   // launch overhead is paid once. (Per-entry operand reuse is unchanged
   // because the batch entries touch disjoint data.)
   gemm::GemmShape stacked = shape;
-  stacked.m = shape.m * batch;
+  AKS_CHECK(!__builtin_mul_overflow(shape.m, batch, &stacked.m),
+            "batched shape " << shape.to_string() << " x " << batch
+                             << " overflows size_t");
   return evaluate(config, stacked).total_s;
 }
 

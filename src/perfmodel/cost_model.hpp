@@ -55,7 +55,8 @@ class CostModel {
 
   [[nodiscard]] const DeviceSpec& device() const { return spec_; }
 
-  /// Noise-free modelled execution time with full breakdown.
+  /// Noise-free modelled execution time with full breakdown. Throws
+  /// common::Error for a shape breaking gemm::check_shape.
   [[nodiscard]] CostBreakdown evaluate(const gemm::KernelConfig& config,
                                        const gemm::GemmShape& shape) const;
 
@@ -66,6 +67,7 @@ class CostModel {
   /// Modelled time of `batch` identical multiplies issued as one launch:
   /// the per-multiply work replicates but the launch overhead is paid once
   /// and the larger grid improves device fill for small multiplies.
+  /// Throws when the stacked row count m·batch overflows size_t.
   [[nodiscard]] double predict_batched_seconds(const gemm::KernelConfig& config,
                                                const gemm::GemmShape& shape,
                                                std::size_t batch) const;

@@ -152,6 +152,9 @@ std::size_t import_store_csv(std::istream& in, SelectionStore& store) {
       record.shape.m = parse_u64(fields[2], line_no, 2, "m");
       record.shape.k = parse_u64(fields[3], line_no, 3, "k");
       record.shape.n = parse_u64(fields[4], line_no, 4, "n");
+      AKS_CHECK(gemm::valid_shape(record.shape),
+                "store csv line " << line_no << ": invalid GEMM shape "
+                                  << record.shape.to_string());
       record.config_index = parse_u32(fields[5], line_no, 5, "config_index");
       AKS_CHECK(record.config_index < num_configs,
                 "store csv line " << line_no << ": config index "

@@ -46,7 +46,8 @@ void export_store_csv(const SelectionStore& store, std::ostream& out);
 /// selection row superseded by a newer stored record counts as skipped).
 /// Throws common::Error naming the 1-based line and column on any malformed
 /// row: wrong field count, unknown record type, non-numeric or overflowing
-/// field, bad hex fingerprint, or out-of-range config index.
+/// field, bad hex fingerprint, invalid GEMM shape (gemm::check_shape) or
+/// out-of-range config index.
 std::size_t import_store_csv(std::istream& in, SelectionStore& store);
 
 }  // namespace aks::store

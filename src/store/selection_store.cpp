@@ -49,6 +49,12 @@ bool SelectionStore::put_locked(SelectionRecord record, bool from_load) {
     ++stats_.rejected_malformed;
     return false;
   }
+  if (!gemm::valid_shape(record.shape)) {
+    AKS_CHECK(!options_.strict, "store " << path_ << ": invalid GEMM shape "
+                                         << record.shape.to_string());
+    ++stats_.rejected_malformed;
+    return false;
+  }
   if (!options_.certified_mask.empty()) {
     const bool certified =
         record.config_index < options_.certified_mask.size() &&

@@ -112,7 +112,10 @@ class SelectionStore {
   /// Upserts a selection (write-behind; call flush() to persist). Fills an
   /// empty cert_digest from the expected-digest table when one is
   /// configured. Returns false — and stores nothing — when the config
-  /// index is out of range or fails the certificate gate.
+  /// index is out of range, the shape breaks gemm::check_shape (both
+  /// counted in rejected_malformed; common::Error under options.strict), or
+  /// the record fails the certificate gate. Journal load, merge_from and
+  /// CSV import apply the same validation.
   bool put(SelectionRecord record);
 
   /// Upserts a whole wave of selections under one lock acquisition — the

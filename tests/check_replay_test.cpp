@@ -2,9 +2,13 @@
 // conv lowerings and a registry slice replay without findings.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "check/checked_conv.hpp"
 #include "check/checked_gemm.hpp"
+#include "common/rng.hpp"
 #include "gemm/config.hpp"
+#include "gemm/registry.hpp"
 
 namespace {
 
@@ -58,6 +62,56 @@ TEST(CheckedExecution, RegistrySubsetSweepIsClean) {
     ADD_FAILURE() << finding.format();
   }
   EXPECT_TRUE(summary.clean());
+}
+
+/// Runs `config` once through the shipping launch and once through the
+/// checked replay on the same operands; returns {shipped C, replayed C}.
+std::pair<std::vector<float>, std::vector<float>> shipped_and_replayed(
+    const gemm::KernelConfig& config, const gemm::GemmShape& shape,
+    std::size_t batch) {
+  common::Rng rng(gemm::config_index(config) + batch);
+  std::vector<float> a(batch * shape.m * shape.k);
+  std::vector<float> b(batch * shape.k * shape.n);
+  check::fill_uniform(a, rng);
+  check::fill_uniform(b, rng);
+
+  syclrt::Queue queue;
+  std::vector<float> shipped(batch * shape.m * shape.n);
+  check::AccessMonitor monitor(config.name());
+  check::CheckedBuffer<float> a_buf("A", std::span<const float>(a), monitor);
+  check::CheckedBuffer<float> b_buf("B", std::span<const float>(b), monitor);
+  check::CheckedBuffer<float> c_buf("C", shipped.size(), monitor);
+  syclrt::Queue replay;
+  replay.set_deterministic_replay(true);
+  if (batch == 1) {
+    gemm::launch_gemm(queue, config, a, b, shipped, shape);
+    check::launch_checked_gemm(replay, config, a_buf.read(), b_buf.read(),
+                               c_buf.write(), shape);
+  } else {
+    gemm::launch_batched_gemm(queue, config, a, b, shipped, shape, batch);
+    check::launch_checked_batched_gemm(replay, config, a_buf.read(),
+                                       b_buf.read(), c_buf.write(), shape,
+                                       batch);
+  }
+  EXPECT_TRUE(monitor.clean()) << config.name();
+  const auto replayed = c_buf.host();
+  return {shipped, std::vector<float>(replayed.begin(), replayed.end())};
+}
+
+// The analysed path is the shipped one: for every compiled kernel, the
+// shipping launch and the checked replay produce bit-identical C.
+TEST(CheckedExecution, ShippedLaunchesMatchCheckedReplayForAll64Kernels) {
+  for (int rt : gemm::tile_sizes())
+    for (int ct : gemm::tile_sizes())
+      for (int acc : gemm::tile_sizes()) {
+        const gemm::KernelConfig config{rt, ct, acc, 8, 8};
+        const auto [plain, plain_replayed] =
+            shipped_and_replayed(config, {17, 13, 9}, 1);
+        EXPECT_EQ(plain, plain_replayed) << config.name();
+        const auto [batched, batched_replayed] =
+            shipped_and_replayed(config, {9, 5, 7}, 3);
+        EXPECT_EQ(batched, batched_replayed) << config.name() << " batched";
+      }
 }
 
 }  // namespace

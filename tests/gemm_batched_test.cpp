@@ -112,6 +112,16 @@ TEST(BatchedCostModel, BatchOfOneMatchesPlainPrediction) {
                    model.predict_seconds(config, shape));
 }
 
+// m·batch = 2^64 + 2^24 would wrap to a 2^24-row stack and predict a tiny
+// time for an impossible launch.
+TEST(BatchedCostModel, RejectsOverflowingBatch) {
+  const perf::CostModel model(perf::DeviceSpec::amd_r9_nano());
+  const GemmShape shape{(std::size_t{1} << 40) + 1, 1, 1};
+  EXPECT_THROW((void)model.predict_batched_seconds(KernelConfig{}, shape,
+                                                   std::size_t{1} << 24),
+               common::Error);
+}
+
 TEST(BatchedCostModel, MonotoneInBatch) {
   const perf::CostModel model(perf::DeviceSpec::amd_r9_nano());
   const KernelConfig config{4, 4, 4, 8, 8};

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "common/error.hpp"
@@ -7,6 +8,7 @@
 #include "gemm/config.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/registry.hpp"
+#include "gemm/tiled_kernel.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::gemm {
@@ -65,14 +67,30 @@ TEST(Config, CompiledKernelCountIgnoresWorkGroups) {
 
 TEST(Registry, HasAll64Instantiations) {
   EXPECT_EQ(registry_size(), 64u);
+  // Every triple must reach the instantiation with exactly those template
+  // arguments.
   for (int rt : tile_sizes())
     for (int ct : tile_sizes())
-      for (int acc : tile_sizes()) EXPECT_NO_THROW((void)find_kernel(rt, ct, acc));
+      for (int acc : tile_sizes()) {
+        const auto reached = with_tiled_kernel(
+            KernelConfig{rt, ct, acc, 8, 8}, [](auto r, auto c, auto a) {
+              using Kernel = TiledGemmKernel<r, c, a>;
+              return std::array<std::size_t, 3>{
+                  Kernel::kRowTile, Kernel::kColTile, Kernel::kAccSize};
+            });
+        EXPECT_EQ(reached, (std::array<std::size_t, 3>{
+                               static_cast<std::size_t>(rt),
+                               static_cast<std::size_t>(ct),
+                               static_cast<std::size_t>(acc)}));
+      }
 }
 
 TEST(Registry, UnknownInstantiationThrows) {
-  EXPECT_THROW((void)find_kernel(3, 4, 4), common::Error);
-  EXPECT_THROW((void)find_kernel(4, 4, 16), common::Error);
+  const auto reach = [](auto, auto, auto) { return 0; };
+  EXPECT_THROW((void)with_tiled_kernel(KernelConfig{3, 4, 4, 8, 8}, reach),
+               common::Error);
+  EXPECT_THROW((void)with_tiled_kernel(KernelConfig{4, 4, 16, 8, 8}, reach),
+               common::Error);
 }
 
 TEST(Shape, FlopsAndBytes) {
@@ -108,6 +126,28 @@ TEST(Launch, OperandValidation) {
   EXPECT_THROW(launch_gemm(queue, config, a, b, c, GemmShape{0, 2, 4}),
                common::Error);
   EXPECT_THROW(launch_gemm(queue, config, a, b, c, GemmShape{3, 3, 4}),
+               common::Error);
+}
+
+// Each operand size m·k, k·n and m·n wraps to 0 for {2^32, 2^32, 2^32}, so
+// three empty spans pass a size-only check and the kernel would read past
+// them; the launch must refuse the shape first.
+TEST(Launch, RejectsShapeWhoseOperandSizesOverflow) {
+  syclrt::Queue queue;
+  const std::size_t big = std::size_t{1} << 32;
+  EXPECT_THROW(launch_gemm(queue, KernelConfig{2, 2, 2, 8, 8}, {}, {}, {},
+                           GemmShape{big, big, big}),
+               common::Error);
+}
+
+// {2^21, 2^21, 2^21} is a valid shape, but batch 2^22 makes every packed
+// operand size 2^64, which wraps to 0 and matches three empty spans.
+TEST(Launch, BatchedRejectsPackedSizeOverflow) {
+  syclrt::Queue queue;
+  const std::size_t dim = std::size_t{1} << 21;
+  EXPECT_THROW(launch_batched_gemm(queue, KernelConfig{2, 2, 2, 8, 8}, {}, {},
+                                   {}, GemmShape{dim, dim, dim},
+                                   std::size_t{1} << 22),
                common::Error);
 }
 

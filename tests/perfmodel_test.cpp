@@ -31,6 +31,13 @@ TEST(CostModel, RejectsDegenerateInput) {
   EXPECT_THROW(CostModel{bad}, common::Error);
 }
 
+TEST(CostModel, RejectsShapeWhoseOperandSizesOverflow) {
+  const CostModel model(DeviceSpec::amd_r9_nano());
+  const std::size_t big = std::size_t{1} << 32;
+  EXPECT_THROW((void)model.evaluate(balanced_config(), {big, big, big}),
+               common::Error);
+}
+
 TEST(CostModel, BreakdownIsConsistent) {
   const CostModel model(DeviceSpec::amd_r9_nano());
   const auto b = model.evaluate(balanced_config(), {512, 512, 512});

@@ -175,6 +175,45 @@ TEST(StoreCsv, OutOfRangeConfigIndexRaises) {
   std::filesystem::remove(path);
 }
 
+// A zero dimension is a shape select() can never request; storing it would
+// let warm_start pre-seed and count it.
+TEST(StoreCsv, ZeroDimensionRaisesNamingTheLine) {
+  const auto path = temp_store("zerodim");
+  SelectionStore store(path);
+  auto row = valid_selection_row();
+  row.replace(row.find(",64,"), 4, ",0,");
+  std::istringstream in(valid_selection_row() + "\n" + row + "\n");
+  try {
+    import_store_csv(in, store);
+    FAIL() << "expected common::Error";
+  } catch (const common::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("invalid GEMM shape 0x32x128"), std::string::npos)
+        << what;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(StoreCsv, OverflowingShapeRaises) {
+  const auto path = temp_store("overflowshape");
+  SelectionStore store(path);
+  auto row = valid_selection_row();
+  row.replace(row.find(",64,32,128,"), 11,
+              ",4294967296,4294967296,4294967296,");
+  std::istringstream in(row);
+  try {
+    import_store_csv(in, store);
+    FAIL() << "expected common::Error";
+  } catch (const common::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid GEMM shape"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(store.stats().selections, 0u);
+  std::filesystem::remove(path);
+}
+
 TEST(StoreCsv, UnknownRecordTypeNamesTheLine) {
   const auto path = temp_store("unknown");
   SelectionStore store(path);

@@ -15,6 +15,8 @@
 #include "gemm/config.hpp"
 #include "perfmodel/device_spec.hpp"
 #include "serve/selection_service.hpp"
+#include "store/journal.hpp"
+#include "store/record.hpp"
 #include "store/selection_store.hpp"
 
 namespace aks::store {
@@ -128,6 +130,43 @@ TEST(SelectionStore, RejectsOutOfRangeConfigIndex) {
   EXPECT_FALSE(store.put(make_record(1, {8, 8, 8}, 60000)));
   EXPECT_EQ(store.stats().rejected_malformed, 1u);
   EXPECT_EQ(store.stats().selections, 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(SelectionStore, RejectsInvalidShapesAtPutAndLoad) {
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+  const auto path = temp_path("shape.aks");
+  const std::size_t big = std::size_t{1} << 32;
+  // An old writer persisted one valid and two invalid shapes.
+  {
+    JournalWriter writer(path);
+    for (const gemm::GemmShape& shape :
+         {gemm::GemmShape{8, 8, 8}, gemm::GemmShape{0, 8, 8},
+          gemm::GemmShape{big, big, big}}) {
+      std::vector<std::uint8_t> payload;
+      encode(make_record(1, shape, 10), payload);
+      writer.append(RecordKind::kSelection, payload);
+    }
+  }
+  {
+    SelectionStore store(path);
+    EXPECT_EQ(store.stats().rejected_malformed, 2u);
+    EXPECT_EQ(store.stats().selections, 1u);
+    EXPECT_FALSE(store.lookup(1, {0, 8, 8}).has_value());
+
+    EXPECT_FALSE(store.put(make_record(1, {8, 0, 8}, 10)));
+    EXPECT_EQ(store.put_batch({make_record(1, {8, 8, 0}, 10),
+                               make_record(1, {16, 8, 8}, 10)}),
+              1u);
+    EXPECT_EQ(store.stats().rejected_malformed, 4u);
+    EXPECT_EQ(store.stats().selections, 2u);
+  }
+  StoreOptions strict;
+  strict.strict = true;
+  EXPECT_THROW(SelectionStore(path, strict), common::Error);
+  std::filesystem::remove(path);
+  SelectionStore store(path, strict);
+  EXPECT_THROW((void)store.put(make_record(1, {0, 8, 8}, 10)), common::Error);
   std::filesystem::remove(path);
 }
 

@@ -40,6 +40,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/timer.hpp"
 #include "core/codegen.hpp"
 #include "core/online.hpp"
@@ -332,11 +333,12 @@ int cmd_select(const Args& args) {
   const auto file = args.options.find("selector");
   AKS_CHECK(file != args.options.end() && args.positional.size() == 3,
             "usage: aks_tune select --selector <file> M K N");
-  const auto selector = select::load_selector(file->second);
   gemm::GemmShape shape;
-  shape.m = std::stoull(args.positional[0]);
-  shape.k = std::stoull(args.positional[1]);
-  shape.n = std::stoull(args.positional[2]);
+  shape.m = common::parse_size(args.positional[0], "M");
+  shape.k = common::parse_size(args.positional[1], "K");
+  shape.n = common::parse_size(args.positional[2], "N");
+  gemm::check_shape(shape);
+  const auto selector = select::load_selector(file->second);
   std::cout << selector.select_config(shape).name() << "\n";
   return 0;
 }

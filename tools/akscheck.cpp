@@ -39,7 +39,9 @@
 #include "check/report_json.hpp"
 #include "check/symbolic/certificate.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "gemm/config.hpp"
+#include "gemm/shape.hpp"
 #include "perfmodel/device_spec.hpp"
 
 namespace {
@@ -64,30 +66,16 @@ struct Args {
   bool verbose = false;
 };
 
-/// stoull with validation: rejects empty, non-digit, and overflowing input
-/// with a usage error instead of an uncaught std exception.
-std::size_t parse_size(const std::string& text, const char* what) {
-  AKS_CHECK(!text.empty() &&
-                text.find_first_not_of("0123456789") == std::string::npos,
-            what << " must be a non-negative integer, got '" << text << "'");
-  try {
-    return std::stoull(text);
-  } catch (const std::out_of_range&) {
-    AKS_FAIL(what << " is out of range: '" << text << "'");
-  }
-}
-
 gemm::GemmShape parse_shape(const std::string& text) {
   gemm::GemmShape shape;
   const auto x1 = text.find('x');
   const auto x2 = text.find('x', x1 + 1);
   AKS_CHECK(x1 != std::string::npos && x2 != std::string::npos,
             "shape must be MxKxN, got '" << text << "'");
-  shape.m = parse_size(text.substr(0, x1), "shape dimension M");
-  shape.k = parse_size(text.substr(x1 + 1, x2 - x1 - 1), "shape dimension K");
-  shape.n = parse_size(text.substr(x2 + 1), "shape dimension N");
-  AKS_CHECK(shape.m > 0 && shape.k > 0 && shape.n > 0,
-            "shape dimensions must be positive: '" << text << "'");
+  shape.m = common::parse_size(text.substr(0, x1), "shape dimension M");
+  shape.k = common::parse_size(text.substr(x1 + 1, x2 - x1 - 1), "shape dimension K");
+  shape.n = common::parse_size(text.substr(x2 + 1), "shape dimension N");
+  gemm::check_shape(shape);
   return shape;
 }
 
@@ -135,10 +123,10 @@ Args parse_args(int argc, char** argv) {
     } else if (token == "locks" || token == "--locks") {
       args.locks = true;
     } else if (token == "--threads") {
-      args.threads = parse_size(value(), "--threads");
+      args.threads = common::parse_size(value(), "--threads");
       AKS_CHECK(args.threads > 0, "--threads must be positive");
     } else if (token == "--requests") {
-      args.requests = parse_size(value(), "--requests");
+      args.requests = common::parse_size(value(), "--requests");
     } else if (token == "--differential") {
       args.differential = true;
     } else if (token == "--verbose") {
@@ -150,11 +138,11 @@ Args parse_args(int argc, char** argv) {
     } else if (token == "--format") {
       args.format = value();
     } else if (token == "--samples") {
-      args.samples = parse_size(value(), "--samples");
+      args.samples = common::parse_size(value(), "--samples");
     } else if (token == "--max-configs") {
-      args.max_configs = parse_size(value(), "--max-configs");
+      args.max_configs = common::parse_size(value(), "--max-configs");
     } else if (token == "--conv-stride") {
-      args.conv_stride = parse_size(value(), "--conv-stride");
+      args.conv_stride = common::parse_size(value(), "--conv-stride");
     } else if (token == "--shapes") {
       const std::string list = value();
       std::size_t start = 0;
