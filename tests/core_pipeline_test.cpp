@@ -4,6 +4,8 @@
 // and EXPERIMENTS.md).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "check/symbolic/certificate.hpp"
 #include "common/error.hpp"
 #include "core/codegen.hpp"
@@ -229,6 +231,136 @@ TEST_F(PipelineTest, CodegenDeploymentEndToEnd) {
   ASSERT_NE(tree_selector, nullptr);
   const std::string code = generate_selector_code(*tree_selector);
   EXPECT_GT(code.size(), 200u);
+}
+
+
+/// Table I and the selector ablations on the seed dataset: split seed 1,
+/// the DecisionTree pruner, model seed 0, fault-free. Pins the shipped
+/// configurations and the achieved score of every row table1_classifiers,
+/// ablation_extensions and ablation_feature_scaling print, so a change to
+/// the selector layer cannot silently change a Table I number.
+class PaperTableOnePin : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+    dataset_ = new data::PerfDataset(data::build_paper_dataset());
+  }
+  static void TearDownTestSuite() {
+    delete dataset_;
+    dataset_ = nullptr;
+  }
+
+  static PipelineResult run(SelectorMethod method, std::size_t budget,
+                            FeatureMap map = FeatureMap::kRaw,
+                            bool scaled = false) {
+    PipelineOptions options;
+    options.num_configs = budget;
+    options.prune_method = PruneMethod::kDecisionTree;
+    options.selector_method = method;
+    options.split_seed = 1;
+    options.model_seed = 0;
+    options.feature_map = map;
+    options.scale_features = scaled;
+    return run_pipeline(*dataset_, options);
+  }
+
+  /// `expected[i]` is the achieved score at `budgets[i]`.
+  static void expect_achieved(SelectorMethod method,
+                              const std::vector<std::size_t>& budgets,
+                              const std::vector<double>& expected,
+                              FeatureMap map = FeatureMap::kRaw,
+                              bool scaled = false) {
+    ASSERT_EQ(budgets.size(), expected.size());
+    for (std::size_t i = 0; i < budgets.size(); ++i) {
+      EXPECT_NEAR(run(method, budgets[i], map, scaled).achieved, expected[i],
+                  1e-12 * expected[i])
+          << to_string(method) << " " << to_string(map)
+          << (scaled ? " scaled" : "") << " at " << budgets[i];
+    }
+  }
+
+ private:
+  static data::PerfDataset* dataset_;
+};
+
+data::PerfDataset* PaperTableOnePin::dataset_ = nullptr;
+
+TEST_F(PaperTableOnePin, ShippedConfigs) {
+  const std::map<std::size_t, std::vector<std::size_t>> expected = {
+      {5, {114, 318, 344, 354, 394}},
+      {6, {114, 318, 344, 354, 394, 614}},
+      {8, {114, 318, 344, 354, 394, 574, 614, 634}},
+      {15, {103, 114, 194, 196, 270, 273, 318, 346, 354, 394, 434, 510, 574,
+            614, 634}},
+  };
+  for (const auto method :
+       {SelectorMethod::kDecisionTree, SelectorMethod::kRandomForest,
+        SelectorMethod::k1Nn, SelectorMethod::k3Nn, SelectorMethod::kLinearSvm,
+        SelectorMethod::kRadialSvm, SelectorMethod::kGradientBoosting}) {
+    for (const auto& [budget, configs] : expected) {
+      EXPECT_EQ(run(method, budget).configs, configs)
+          << to_string(method) << " at " << budget;
+    }
+  }
+}
+
+TEST_F(PaperTableOnePin, TableOneAchieved) {
+  const std::vector<std::size_t> budgets = {5, 6, 8, 15};
+  expect_achieved(SelectorMethod::kDecisionTree, budgets,
+                  {0.79439261377532377, 0.87010505669951399,
+                   0.88089863946071501, 0.91891064132126388});
+  expect_achieved(SelectorMethod::kRandomForest, budgets,
+                  {0.77182196625498967, 0.83907626520674194,
+                   0.83928105164251099, 0.89137141705455625});
+  expect_achieved(SelectorMethod::k1Nn, budgets,
+                  {0.78706689029410948, 0.81890530020639529,
+                   0.8217920445489777, 0.81621694920531407});
+  expect_achieved(SelectorMethod::k3Nn, budgets,
+                  {0.75013227110494463, 0.78814924111940887,
+                   0.77005048537170395, 0.80832389731947329});
+  expect_achieved(SelectorMethod::kLinearSvm, budgets,
+                  {0.6394683092507778, 0.64487577799300699,
+                   0.59626362356370022, 0.76823352010403057});
+  expect_achieved(SelectorMethod::kRadialSvm, budgets,
+                  {0.68597109441723503, 0.626466885707191,
+                   0.6393799827961294, 0.69265298045217272});
+}
+
+TEST_F(PaperTableOnePin, GradientBoostingAchieved) {
+  expect_achieved(SelectorMethod::kGradientBoosting, {5, 6, 8, 15},
+                  {0.77649486946446822, 0.85220627469930788,
+                   0.86256171901485412, 0.91854695581234402});
+}
+
+TEST_F(PaperTableOnePin, Log2FeatureMapAchieved) {
+  const std::vector<std::size_t> budgets = {6, 8, 15};
+  expect_achieved(SelectorMethod::k1Nn, budgets,
+                  {0.85108972825757068, 0.84893117277312335,
+                   0.8614513515773512},
+                  FeatureMap::kLog2);
+  expect_achieved(SelectorMethod::kLinearSvm, budgets,
+                  {0.76492822179507658, 0.75342550088156557,
+                   0.77673550082104825},
+                  FeatureMap::kLog2);
+  expect_achieved(SelectorMethod::kRadialSvm, budgets,
+                  {0.79479995856327579, 0.65067829423560786,
+                   0.51543064422218654},
+                  FeatureMap::kLog2, /*scaled=*/true);
+}
+
+TEST_F(PaperTableOnePin, ScaledFeaturesAchieved) {
+  const std::vector<std::size_t> budgets = {6, 15};
+  const auto raw = FeatureMap::kRaw;
+  expect_achieved(SelectorMethod::kDecisionTree, budgets,
+                  {0.87010505669951399, 0.91891064132126388}, raw, true);
+  expect_achieved(SelectorMethod::k1Nn, budgets,
+                  {0.77427302411206178, 0.76641388415145351}, raw, true);
+  expect_achieved(SelectorMethod::k3Nn, budgets,
+                  {0.75797364086065377, 0.74618564909678886}, raw, true);
+  expect_achieved(SelectorMethod::kLinearSvm, budgets,
+                  {0.76627671834532096, 0.61470036378979442}, raw, true);
+  expect_achieved(SelectorMethod::kRadialSvm, budgets,
+                  {0.66045436668801283, 0.69425933695328901}, raw, true);
 }
 
 }  // namespace
