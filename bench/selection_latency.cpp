@@ -62,19 +62,12 @@ void bench_generated_tree(benchmark::State& state) {
 }  // namespace aks
 
 int main(int argc, char** argv) {
-  using aks::select::SelectorMethod;
-  const std::pair<const char*, SelectorMethod> methods[] = {
-      {"select/DecisionTree", SelectorMethod::kDecisionTree},
-      {"select/RandomForest", SelectorMethod::kRandomForest},
-      {"select/1NearestNeighbor", SelectorMethod::k1Nn},
-      {"select/3NearestNeighbors", SelectorMethod::k3Nn},
-      {"select/LinearSVM", SelectorMethod::kLinearSvm},
-      {"select/RadialSVM", SelectorMethod::kRadialSvm},
-  };
-  for (const auto& [name, method] : methods) {
-    benchmark::RegisterBenchmark(name, [method](benchmark::State& state) {
-      aks::bench_selector(state, method);
-    });
+  for (const auto method : aks::select::kTableOneSelectors) {
+    benchmark::RegisterBenchmark(
+        ("select/" + aks::select::to_string(method)).c_str(),
+        [method](benchmark::State& state) {
+          aks::bench_selector(state, method);
+        });
   }
   benchmark::RegisterBenchmark("select/GeneratedNestedIfs",
                                aks::bench_generated_tree);

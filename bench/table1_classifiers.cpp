@@ -29,14 +29,7 @@ int run() {
         bench::pct(select::pruning_ceiling(split.test, pruner.prune(split.train, n))));
   }
 
-  const select::SelectorMethod methods[] = {
-      select::SelectorMethod::kDecisionTree,
-      select::SelectorMethod::kRandomForest,
-      select::SelectorMethod::k1Nn,
-      select::SelectorMethod::k3Nn,
-      select::SelectorMethod::kLinearSvm,
-      select::SelectorMethod::kRadialSvm,
-  };
+  const auto& methods = select::kTableOneSelectors;
 
   bench::print_row({"classifier", "5", "6", "8", "15"}, 18);
   bench::print_row(ceiling_row, 18);

@@ -37,7 +37,6 @@
 #include "ml/kmeans.hpp"             // IWYU pragma: export
 #include "ml/knn.hpp"                // IWYU pragma: export
 #include "ml/metrics.hpp"            // IWYU pragma: export
-#include "ml/model_selection.hpp"    // IWYU pragma: export
 #include "ml/pca.hpp"                // IWYU pragma: export
 #include "ml/random_forest.hpp"      // IWYU pragma: export
 #include "ml/scaler.hpp"             // IWYU pragma: export

@@ -48,7 +48,7 @@ std::string generate_selector_code(const DecisionTreeSelector& selector,
   AKS_CHECK(!selector.scales_features() &&
                 selector.feature_map() == FeatureMap::kRaw,
             "codegen requires a selector trained on raw, unscaled features");
-  const auto& nodes = selector.tree().nodes();
+  const auto& nodes = selector.model().nodes();
   AKS_CHECK(!nodes.empty(), "selector tree is empty");
 
   std::ostringstream os;
@@ -79,7 +79,7 @@ std::string generate_selector_code(const DecisionTreeSelector& selector,
 gemm::KernelConfig evaluate_generated_logic(const DecisionTreeSelector& selector,
                                             double m, double k, double n) {
   AKS_CHECK(!selector.allowed().empty(), "selector is not fitted");
-  const auto& nodes = selector.tree().nodes();
+  const auto& nodes = selector.model().nodes();
   const double features[3] = {m, k, n};
   std::size_t cur = 0;
   while (!nodes[cur].is_leaf()) {

@@ -25,7 +25,7 @@ struct CodegenOptions {
 /// Emits a C++ translation unit containing
 ///   KernelChoice <function_name>(double m, double k, double n);
 /// where KernelChoice carries the five configuration parameters. The
-/// emitted control flow replicates `selector.tree()` exactly.
+/// emitted control flow replicates `selector.model()` exactly.
 [[nodiscard]] std::string generate_selector_code(
     const DecisionTreeSelector& selector, const CodegenOptions& options = {});
 

@@ -4,87 +4,6 @@
 
 namespace aks::select {
 
-std::string to_string(PruneMethod method) {
-  switch (method) {
-    case PruneMethod::kTopN: return "TopN";
-    case PruneMethod::kKMeans: return "KMeans";
-    case PruneMethod::kHdbscan: return "HDBScan";
-    case PruneMethod::kPcaKMeans: return "PCA+KMeans";
-    case PruneMethod::kDecisionTree: return "DecisionTree";
-    case PruneMethod::kAgglomerative: return "Agglomerative";
-  }
-  return "?";
-}
-
-std::string to_string(SelectorMethod method) {
-  switch (method) {
-    case SelectorMethod::kDecisionTree: return "DecisionTree";
-    case SelectorMethod::kRandomForest: return "RandomForest";
-    case SelectorMethod::k1Nn: return "1NearestNeighbor";
-    case SelectorMethod::k3Nn: return "3NearestNeighbors";
-    case SelectorMethod::kLinearSvm: return "LinearSVM";
-    case SelectorMethod::kRadialSvm: return "RadialSVM";
-    case SelectorMethod::kGradientBoosting: return "GradientBoosting";
-  }
-  return "?";
-}
-
-std::unique_ptr<ConfigPruner> make_pruner(PruneMethod method,
-                                          std::uint64_t seed) {
-  switch (method) {
-    case PruneMethod::kTopN:
-      return std::make_unique<TopNPruner>();
-    case PruneMethod::kKMeans:
-      return std::make_unique<KMeansPruner>(seed);
-    case PruneMethod::kHdbscan:
-      return std::make_unique<HdbscanPruner>();
-    case PruneMethod::kPcaKMeans:
-      return std::make_unique<PcaKMeansPruner>(0, seed);
-    case PruneMethod::kDecisionTree:
-      return std::make_unique<DecisionTreePruner>();
-    case PruneMethod::kAgglomerative:
-      return std::make_unique<AgglomerativePruner>();
-  }
-  AKS_FAIL("unknown prune method");
-}
-
-std::unique_ptr<KernelSelector> make_selector(SelectorMethod method,
-                                              std::uint64_t seed,
-                                              bool scale_features) {
-  switch (method) {
-    case SelectorMethod::kDecisionTree:
-      return std::make_unique<DecisionTreeSelector>(ml::TreeOptions{},
-                                                    scale_features);
-    case SelectorMethod::kRandomForest: {
-      ml::ForestOptions options;
-      options.seed = seed;
-      return std::make_unique<RandomForestSelector>(options, scale_features);
-    }
-    case SelectorMethod::k1Nn:
-      return std::make_unique<KnnSelector>(1, scale_features);
-    case SelectorMethod::k3Nn:
-      return std::make_unique<KnnSelector>(3, scale_features);
-    case SelectorMethod::kLinearSvm: {
-      ml::SvmOptions options;
-      options.kernel = ml::SvmKernel::kLinear;
-      options.seed = seed;
-      return std::make_unique<SvmSelector>(options, scale_features);
-    }
-    case SelectorMethod::kRadialSvm: {
-      ml::SvmOptions options;
-      options.kernel = ml::SvmKernel::kRbf;
-      options.seed = seed;
-      return std::make_unique<SvmSelector>(options, scale_features);
-    }
-    case SelectorMethod::kGradientBoosting: {
-      ml::GbmOptions options;
-      options.seed = seed;
-      return std::make_unique<GbmSelector>(options, scale_features);
-    }
-  }
-  AKS_FAIL("unknown selector method");
-}
-
 PipelineResult run_pipeline(const data::PerfDataset& dataset,
                             const PipelineOptions& options) {
   AKS_CHECK(options.num_configs >= 2,

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -18,35 +17,6 @@
 #include "dataset/perf_dataset.hpp"
 
 namespace aks::select {
-
-enum class PruneMethod {
-  kTopN,
-  kKMeans,
-  kHdbscan,
-  kPcaKMeans,
-  kDecisionTree,
-  // Extension beyond the paper's five:
-  kAgglomerative,
-};
-enum class SelectorMethod {
-  kDecisionTree,
-  kRandomForest,
-  k1Nn,
-  k3Nn,
-  kLinearSvm,
-  kRadialSvm,
-  // Extension beyond Table I (the related work's boosted regression trees):
-  kGradientBoosting,
-};
-
-[[nodiscard]] std::string to_string(PruneMethod method);
-[[nodiscard]] std::string to_string(SelectorMethod method);
-
-[[nodiscard]] std::unique_ptr<ConfigPruner> make_pruner(
-    PruneMethod method, std::uint64_t seed = 0);
-[[nodiscard]] std::unique_ptr<KernelSelector> make_selector(
-    SelectorMethod method, std::uint64_t seed = 0,
-    bool scale_features = false);
 
 struct PipelineOptions {
   /// Kernel budget (the paper examines 4..15).

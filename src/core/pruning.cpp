@@ -199,13 +199,34 @@ std::vector<std::size_t> MaskedPruner::prune(const data::PerfDataset& train,
   return finalize_selection(std::move(chosen), train, budget);
 }
 
+std::unique_ptr<ConfigPruner> make_pruner(PruneMethod method,
+                                          std::uint64_t seed) {
+  switch (method) {
+    case PruneMethod::kTopN:
+      return std::make_unique<TopNPruner>();
+    case PruneMethod::kKMeans:
+      return std::make_unique<KMeansPruner>(seed);
+    case PruneMethod::kHdbscan:
+      return std::make_unique<HdbscanPruner>();
+    case PruneMethod::kPcaKMeans:
+      return std::make_unique<PcaKMeansPruner>(0, seed);
+    case PruneMethod::kDecisionTree:
+      return std::make_unique<DecisionTreePruner>();
+    case PruneMethod::kAgglomerative:
+      return std::make_unique<AgglomerativePruner>();
+  }
+  AKS_FAIL("unknown prune method");
+}
+
+std::string to_string(PruneMethod method) {
+  return make_pruner(method)->name();
+}
+
 std::vector<std::unique_ptr<ConfigPruner>> all_pruners(std::uint64_t seed) {
   std::vector<std::unique_ptr<ConfigPruner>> pruners;
-  pruners.push_back(std::make_unique<TopNPruner>());
-  pruners.push_back(std::make_unique<KMeansPruner>(seed));
-  pruners.push_back(std::make_unique<HdbscanPruner>());
-  pruners.push_back(std::make_unique<PcaKMeansPruner>(0, seed));
-  pruners.push_back(std::make_unique<DecisionTreePruner>());
+  for (const PruneMethod method : kFigureFourPruners) {
+    pruners.push_back(make_pruner(method, seed));
+  }
   return pruners;
 }
 

@@ -21,6 +21,7 @@
 // downstream comparisons always see the same budget.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -133,7 +134,32 @@ class MaskedPruner final : public ConfigPruner {
   std::vector<bool> mask_;
 };
 
+enum class PruneMethod {
+  kTopN,
+  kKMeans,
+  kHdbscan,
+  kPcaKMeans,
+  kDecisionTree,
+  // Extension beyond the paper's five:
+  kAgglomerative,
+};
+
 /// The paper's five pruning approaches, in Figure 4's order.
+inline constexpr std::array kFigureFourPruners = {
+    PruneMethod::kTopN,      PruneMethod::kKMeans,
+    PruneMethod::kHdbscan,   PruneMethod::kPcaKMeans,
+    PruneMethod::kDecisionTree,
+};
+
+/// The one place a prune method becomes an object; `seed` drives the
+/// k-means initialisation.
+[[nodiscard]] std::unique_ptr<ConfigPruner> make_pruner(
+    PruneMethod method, std::uint64_t seed = 0);
+
+/// The name() of the pruner `method` builds.
+[[nodiscard]] std::string to_string(PruneMethod method);
+
+/// make_pruner over kFigureFourPruners.
 [[nodiscard]] std::vector<std::unique_ptr<ConfigPruner>> all_pruners(
     std::uint64_t seed = 0);
 

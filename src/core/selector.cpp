@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 namespace aks::select {
 
@@ -26,6 +25,19 @@ double map_value(FeatureMap map, double v) {
       return std::log2(std::max(v, 1.0));
   }
   return v;
+}
+
+template <class Options>
+Options seeded(std::uint64_t seed) {
+  Options options;
+  options.seed = seed;
+  return options;
+}
+
+ml::SvmOptions svm_options(ml::SvmKernel kernel, std::uint64_t seed) {
+  auto options = seeded<ml::SvmOptions>(seed);
+  options.kernel = kernel;
+  return options;
 }
 
 }  // namespace
@@ -79,20 +91,13 @@ std::vector<double> KernelSelector::prepare_row(
   return scaler_.transform_row(mapped);
 }
 
-DecisionTreeSelector::DecisionTreeSelector(ml::TreeOptions options,
-                                           bool scale_features)
-    : options_(options), tree_(options) {
-  scale_features_ = scale_features;
-}
-
-DecisionTreeSelector::DecisionTreeSelector(ml::DecisionTreeClassifier tree,
-                                           std::vector<std::size_t> allowed)
-    : tree_(std::move(tree)) {
-  AKS_CHECK(tree_.fitted(), "tree must be fitted");
+void KernelSelector::adopt_fitted(bool fitted, int num_classes,
+                                  std::vector<std::size_t> allowed) {
+  AKS_CHECK(fitted, "model must be fitted");
   AKS_CHECK(!allowed.empty(), "allowed set must be non-empty");
-  AKS_CHECK(tree_.num_classes() == static_cast<int>(allowed.size()),
-            "tree has " << tree_.num_classes() << " classes for "
-            << allowed.size() << " allowed configs");
+  AKS_CHECK(num_classes == static_cast<int>(allowed.size()),
+            "model has " << num_classes << " classes for " << allowed.size()
+                         << " allowed configs");
   const auto num_configs = gemm::enumerate_configs().size();
   for (const std::size_t c : allowed) {
     AKS_CHECK(c < num_configs, "allowed config index out of range");
@@ -100,111 +105,60 @@ DecisionTreeSelector::DecisionTreeSelector(ml::DecisionTreeClassifier tree,
   allowed_ = std::move(allowed);
 }
 
-void DecisionTreeSelector::fit(const data::PerfDataset& train,
-                               std::vector<std::size_t> allowed) {
-  allowed_ = std::move(allowed);
-  const auto x = prepare_fit(train.features());
-  tree_ = ml::DecisionTreeClassifier(options_);
-  tree_.fit(x, make_labels(train), static_cast<int>(allowed_.size()));
+std::string model_name(const ml::DecisionTreeClassifier&) {
+  return "DecisionTree";
+}
+std::string model_name(const ml::RandomForestClassifier&) {
+  return "RandomForest";
+}
+std::string model_name(const ml::KnnClassifier& model) {
+  return std::to_string(model.k()) + "NearestNeighbor" +
+         (model.k() > 1 ? "s" : "");
+}
+std::string model_name(const ml::SvmClassifier& model) {
+  return model.kernel() == ml::SvmKernel::kLinear ? "LinearSVM" : "RadialSVM";
+}
+std::string model_name(const ml::GradientBoostedClassifier&) {
+  return "GradientBoosting";
 }
 
-std::size_t DecisionTreeSelector::select(
-    std::span<const double> features) const {
-  return allowed_[static_cast<std::size_t>(
-      tree_.predict_row(prepare_row(features)))];
+std::unique_ptr<KernelSelector> make_selector(SelectorMethod method,
+                                              std::uint64_t seed,
+                                              bool scale_features) {
+  switch (method) {
+    case SelectorMethod::kDecisionTree:
+      return std::make_unique<DecisionTreeSelector>(ml::TreeOptions{},
+                                                    scale_features);
+    case SelectorMethod::kRandomForest:
+      return std::make_unique<RandomForestSelector>(
+          seeded<ml::ForestOptions>(seed), scale_features);
+    case SelectorMethod::k1Nn:
+      return std::make_unique<KnnSelector>(1, scale_features);
+    case SelectorMethod::k3Nn:
+      return std::make_unique<KnnSelector>(3, scale_features);
+    case SelectorMethod::kLinearSvm:
+      return std::make_unique<SvmSelector>(
+          svm_options(ml::SvmKernel::kLinear, seed), scale_features);
+    case SelectorMethod::kRadialSvm:
+      return std::make_unique<SvmSelector>(
+          svm_options(ml::SvmKernel::kRbf, seed), scale_features);
+    case SelectorMethod::kGradientBoosting:
+      return std::make_unique<GbmSelector>(seeded<ml::GbmOptions>(seed),
+                                           scale_features);
+  }
+  AKS_FAIL("unknown selector method");
 }
 
-RandomForestSelector::RandomForestSelector(ml::ForestOptions options,
-                                           bool scale_features)
-    : options_(options), forest_(options) {
-  scale_features_ = scale_features;
-}
-
-void RandomForestSelector::fit(const data::PerfDataset& train,
-                               std::vector<std::size_t> allowed) {
-  allowed_ = std::move(allowed);
-  const auto x = prepare_fit(train.features());
-  forest_ = ml::RandomForestClassifier(options_);
-  forest_.fit(x, make_labels(train), static_cast<int>(allowed_.size()));
-}
-
-std::size_t RandomForestSelector::select(
-    std::span<const double> features) const {
-  return allowed_[static_cast<std::size_t>(
-      forest_.predict_row(prepare_row(features)))];
-}
-
-KnnSelector::KnnSelector(int k, bool scale_features) : k_(k), knn_(k) {
-  scale_features_ = scale_features;
-}
-
-void KnnSelector::fit(const data::PerfDataset& train,
-                      std::vector<std::size_t> allowed) {
-  allowed_ = std::move(allowed);
-  const auto x = prepare_fit(train.features());
-  knn_ = ml::KnnClassifier(k_);
-  knn_.fit(x, make_labels(train), static_cast<int>(allowed_.size()));
-}
-
-std::size_t KnnSelector::select(std::span<const double> features) const {
-  return allowed_[static_cast<std::size_t>(
-      knn_.predict_row(prepare_row(features)))];
-}
-
-SvmSelector::SvmSelector(ml::SvmOptions options, bool scale_features)
-    : options_(options), svm_(options) {
-  scale_features_ = scale_features;
-}
-
-void SvmSelector::fit(const data::PerfDataset& train,
-                      std::vector<std::size_t> allowed) {
-  allowed_ = std::move(allowed);
-  const auto x = prepare_fit(train.features());
-  svm_ = ml::SvmClassifier(options_);
-  svm_.fit(x, make_labels(train), static_cast<int>(allowed_.size()));
-}
-
-std::size_t SvmSelector::select(std::span<const double> features) const {
-  return allowed_[static_cast<std::size_t>(
-      svm_.predict_row(prepare_row(features)))];
-}
-
-GbmSelector::GbmSelector(ml::GbmOptions options, bool scale_features)
-    : options_(options), gbm_(options) {
-  scale_features_ = scale_features;
-}
-
-void GbmSelector::fit(const data::PerfDataset& train,
-                      std::vector<std::size_t> allowed) {
-  allowed_ = std::move(allowed);
-  const auto x = prepare_fit(train.features());
-  gbm_ = ml::GradientBoostedClassifier(options_);
-  gbm_.fit(x, make_labels(train), static_cast<int>(allowed_.size()));
-}
-
-std::size_t GbmSelector::select(std::span<const double> features) const {
-  return allowed_[static_cast<std::size_t>(
-      gbm_.predict_row(prepare_row(features)))];
+std::string to_string(SelectorMethod method) {
+  return make_selector(method)->name();
 }
 
 std::vector<std::unique_ptr<KernelSelector>> all_selectors(
     std::uint64_t seed, bool scale_features) {
   std::vector<std::unique_ptr<KernelSelector>> out;
-  out.push_back(
-      std::make_unique<DecisionTreeSelector>(ml::TreeOptions{}, scale_features));
-  ml::ForestOptions forest;
-  forest.seed = seed;
-  out.push_back(std::make_unique<RandomForestSelector>(forest, scale_features));
-  out.push_back(std::make_unique<KnnSelector>(1, scale_features));
-  out.push_back(std::make_unique<KnnSelector>(3, scale_features));
-  ml::SvmOptions linear;
-  linear.kernel = ml::SvmKernel::kLinear;
-  linear.seed = seed;
-  out.push_back(std::make_unique<SvmSelector>(linear, scale_features));
-  ml::SvmOptions radial;
-  radial.kernel = ml::SvmKernel::kRbf;
-  radial.seed = seed;
-  out.push_back(std::make_unique<SvmSelector>(radial, scale_features));
+  for (const SelectorMethod method : kTableOneSelectors) {
+    out.push_back(make_selector(method, seed, scale_features));
+  }
   return out;
 }
 

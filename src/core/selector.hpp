@@ -4,15 +4,20 @@
 // incoming (M, K, N) workload. A KernelSelector is trained on the tuning
 // dataset restricted to the pruned configuration set: the training label of
 // a shape is the best *allowed* configuration for it, and the selector
-// learns sizes -> label. Six selectors mirror Table I: decision tree,
-// random forest, 1-NN, 3-NN, linear SVM and radial (RBF) SVM.
+// learns sizes -> label. One ClassifierSelector template wraps every
+// classifier; the six of Table I are decision tree, random forest, 1-NN,
+// 3-NN, linear SVM and radial (RBF) SVM, and make_selector() is the one
+// place a SelectorMethod becomes an object.
 //
 // Feature scaling is optional and off by default, matching the paper's
 // setup (see svm.hpp for why that matters).
 #pragma once
 
+#include <array>
+#include <concepts>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,103 +83,110 @@ class KernelSelector {
   [[nodiscard]] std::vector<double> prepare_row(
       std::span<const double> row) const;
 
+  /// Adopts an already fitted model's `allowed` set after checking that the
+  /// model is fitted with one class per allowed configuration.
+  void adopt_fitted(bool fitted, int num_classes,
+                    std::vector<std::size_t> allowed);
+
   std::vector<std::size_t> allowed_;
   ml::StandardScaler scaler_;
   bool scale_features_ = false;
   FeatureMap feature_map_ = FeatureMap::kRaw;
 };
 
-class DecisionTreeSelector final : public KernelSelector {
+/// Report names of the classifiers, as Table I prints them.
+[[nodiscard]] std::string model_name(const ml::DecisionTreeClassifier& model);
+[[nodiscard]] std::string model_name(const ml::RandomForestClassifier& model);
+[[nodiscard]] std::string model_name(const ml::KnnClassifier& model);
+[[nodiscard]] std::string model_name(const ml::SvmClassifier& model);
+[[nodiscard]] std::string model_name(
+    const ml::GradientBoostedClassifier& model);
+
+/// A KernelSelector over any classifier with the fit(x, labels,
+/// num_classes) / predict_row(row) interface: the one fit/predict surface
+/// through which the paper trains and compares its Table I classifiers.
+template <class Model>
+class ClassifierSelector final : public KernelSelector {
  public:
-  explicit DecisionTreeSelector(ml::TreeOptions options = {},
-                                bool scale_features = false);
+  ClassifierSelector() = default;
 
-  /// Reconstructs a fitted selector from a deserialised tree (see
-  /// core/serialize.hpp). The tree's class count must match `allowed`.
-  DecisionTreeSelector(ml::DecisionTreeClassifier tree,
-                       std::vector<std::size_t> allowed);
-  [[nodiscard]] std::string name() const override { return "DecisionTree"; }
-  void fit(const data::PerfDataset& train,
-           std::vector<std::size_t> allowed) override;
-  [[nodiscard]] std::size_t select(
-      std::span<const double> features) const override;
-  [[nodiscard]] const ml::DecisionTreeClassifier& tree() const { return tree_; }
-
- private:
-  ml::TreeOptions options_;
-  ml::DecisionTreeClassifier tree_;
-};
-
-class RandomForestSelector final : public KernelSelector {
- public:
-  explicit RandomForestSelector(ml::ForestOptions options = {},
-                                bool scale_features = false);
-  [[nodiscard]] std::string name() const override { return "RandomForest"; }
-  void fit(const data::PerfDataset& train,
-           std::vector<std::size_t> allowed) override;
-  [[nodiscard]] std::size_t select(
-      std::span<const double> features) const override;
-
- private:
-  ml::ForestOptions options_;
-  ml::RandomForestClassifier forest_;
-};
-
-class KnnSelector final : public KernelSelector {
- public:
-  explicit KnnSelector(int k = 1, bool scale_features = false);
-  [[nodiscard]] std::string name() const override {
-    return std::to_string(k_) + "NearestNeighbor" + (k_ > 1 ? "s" : "");
+  /// `options` is what the model's constructor takes (TreeOptions, the k
+  /// of k-NN, ...); every fit() starts from a fresh model built from it.
+  template <class Options>
+    requires std::constructible_from<Model, Options>
+  explicit ClassifierSelector(Options options, bool scale_features = false)
+      : prototype_(std::move(options)), model_(prototype_) {
+    scale_features_ = scale_features;
   }
-  void fit(const data::PerfDataset& train,
-           std::vector<std::size_t> allowed) override;
-  [[nodiscard]] std::size_t select(
-      std::span<const double> features) const override;
 
- private:
-  int k_;
-  ml::KnnClassifier knn_;
-};
-
-class SvmSelector final : public KernelSelector {
- public:
-  explicit SvmSelector(ml::SvmOptions options = {},
-                       bool scale_features = false);
-  [[nodiscard]] std::string name() const override {
-    return options_.kernel == ml::SvmKernel::kLinear ? "LinearSVM"
-                                                     : "RadialSVM";
+  /// Reconstructs a fitted selector from a deserialised model (see
+  /// core/serialize.hpp). The model's class count must match `allowed`.
+  ClassifierSelector(Model fitted, std::vector<std::size_t> allowed)
+      : model_(std::move(fitted)) {
+    adopt_fitted(model_.fitted(), model_.num_classes(), std::move(allowed));
   }
+
+  [[nodiscard]] std::string name() const override {
+    return model_name(model_);
+  }
+
   void fit(const data::PerfDataset& train,
-           std::vector<std::size_t> allowed) override;
+           std::vector<std::size_t> allowed) override {
+    allowed_ = std::move(allowed);
+    const auto x = prepare_fit(train.features());
+    model_ = prototype_;
+    model_.fit(x, make_labels(train), static_cast<int>(allowed_.size()));
+  }
+
   [[nodiscard]] std::size_t select(
-      std::span<const double> features) const override;
+      std::span<const double> features) const override {
+    return allowed_[static_cast<std::size_t>(
+        model_.predict_row(prepare_row(features)))];
+  }
+
+  [[nodiscard]] const Model& model() const { return model_; }
 
  private:
-  ml::SvmOptions options_;
-  ml::SvmClassifier svm_;
+  Model prototype_;  // never fitted
+  Model model_;
 };
 
+using DecisionTreeSelector = ClassifierSelector<ml::DecisionTreeClassifier>;
+using RandomForestSelector = ClassifierSelector<ml::RandomForestClassifier>;
+using KnnSelector = ClassifierSelector<ml::KnnClassifier>;
+using SvmSelector = ClassifierSelector<ml::SvmClassifier>;
 /// Gradient-boosted trees (Bergstra et al.'s model family from the paper's
-/// related work) — an extension selector beyond Table I.
-class GbmSelector final : public KernelSelector {
- public:
-  explicit GbmSelector(ml::GbmOptions options = {},
-                       bool scale_features = false);
-  [[nodiscard]] std::string name() const override {
-    return "GradientBoosting";
-  }
-  void fit(const data::PerfDataset& train,
-           std::vector<std::size_t> allowed) override;
-  [[nodiscard]] std::size_t select(
-      std::span<const double> features) const override;
+/// related work): an extension selector beyond Table I.
+using GbmSelector = ClassifierSelector<ml::GradientBoostedClassifier>;
 
- private:
-  ml::GbmOptions options_;
-  ml::GradientBoostedClassifier gbm_;
+enum class SelectorMethod {
+  kDecisionTree,
+  kRandomForest,
+  k1Nn,
+  k3Nn,
+  kLinearSvm,
+  kRadialSvm,
+  // Extension beyond Table I (the related work's boosted regression trees):
+  kGradientBoosting,
 };
 
-/// The six Table I selectors, in row order. `scale_features` applies a
-/// StandardScaler inside every selector (the ablation variant).
+/// Table I's six classifiers, in row order.
+inline constexpr std::array kTableOneSelectors = {
+    SelectorMethod::kDecisionTree, SelectorMethod::kRandomForest,
+    SelectorMethod::k1Nn,          SelectorMethod::k3Nn,
+    SelectorMethod::kLinearSvm,    SelectorMethod::kRadialSvm,
+};
+
+/// The one place a selector method becomes an object. `scale_features`
+/// applies a StandardScaler inside the selector (the ablation variant).
+[[nodiscard]] std::unique_ptr<KernelSelector> make_selector(
+    SelectorMethod method, std::uint64_t seed = 0,
+    bool scale_features = false);
+
+/// The name() of the selector `method` builds.
+[[nodiscard]] std::string to_string(SelectorMethod method);
+
+/// make_selector over kTableOneSelectors.
 [[nodiscard]] std::vector<std::unique_ptr<KernelSelector>> all_selectors(
     std::uint64_t seed = 0, bool scale_features = false);
 

@@ -51,7 +51,7 @@ void save_selector(const DecisionTreeSelector& selector,
   out << "allowed " << selector.allowed().size();
   for (const std::size_t c : selector.allowed()) out << " " << c;
   out << "\n";
-  const auto& nodes = selector.tree().nodes();
+  const auto& nodes = selector.model().nodes();
   out << "nodes " << nodes.size() << "\n";
   for (const auto& node : nodes) {
     out << node.feature << " " << hex_double(node.threshold) << " "

@@ -130,7 +130,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     const std::string key{common::trim(item.substr(0, eq))};
     const std::string value{common::trim(item.substr(eq + 1))};
     if (key == "seed") {
-      plan.seed = std::stoull(value);
+      plan.seed = common::parse_size(value, "fault plan: seed");
     } else if (key == "launch") {
       plan.at(Site::kKernelLaunch).launch_failure = parse_rate(value, key);
     } else if (key == "hang") {

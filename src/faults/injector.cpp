@@ -48,14 +48,19 @@ void set_plan_locked(std::shared_ptr<const FaultPlan> plan)
 
 // Loads AKS_FAULT_PLAN exactly once, the first time anyone asks while no
 // plan is installed. A malformed spec fails loudly: silently running a CI
-// fault job fault-free would be worse than crashing it.
+// fault job fault-free would be worse than crashing it. `g_env_checked` is
+// published only after the plan is armed: a lock-free probe that sees it
+// set must also see the armed plan, or the first probes of a process would
+// skip faults depending on the thread schedule.
 void maybe_load_env_plan_locked() AKS_REQUIRES(g_plan_mutex) {
-  if (g_env_checked.exchange(true)) return;
+  if (g_env_checked.load(std::memory_order_relaxed)) return;
   // Plan installation happens while the pipeline is quiescent (header
   // contract), so the getenv cannot race a setenv.
   const char* spec = std::getenv("AKS_FAULT_PLAN");  // NOLINT(concurrency-mt-unsafe)
-  if (spec == nullptr || *spec == '\0') return;
-  set_plan_locked(std::make_shared<const FaultPlan>(FaultPlan::parse(spec)));
+  if (spec != nullptr && *spec != '\0') {
+    set_plan_locked(std::make_shared<const FaultPlan>(FaultPlan::parse(spec)));
+  }
+  g_env_checked.store(true, std::memory_order_release);
 }
 
 std::shared_ptr<const FaultPlan> snapshot_plan() {
@@ -89,7 +94,12 @@ std::uint64_t mix_key(std::uint64_t a, std::uint64_t b) {
   return splitmix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
-bool plan_active() { return g_plan_armed.load(std::memory_order_acquire); }
+bool plan_active() {
+  // The first call of the process still has to look for an env plan. Once
+  // the check is published, the plan it found is armed: re-read the flag.
+  if (!g_env_checked.load(std::memory_order_acquire)) (void)snapshot_plan();
+  return g_plan_armed.load(std::memory_order_acquire);
+}
 
 bool plan_active(Site site) {
   if (!plan_active()) return false;
@@ -103,12 +113,7 @@ std::shared_ptr<const FaultPlan> current_plan() {
 }
 
 Fault probe(Site site) {
-  if (!g_plan_armed.load(std::memory_order_acquire)) {
-    // First probe of the process still has to look for an env plan.
-    if (g_env_checked.load(std::memory_order_acquire)) return {};
-    (void)snapshot_plan();
-    if (!g_plan_armed.load(std::memory_order_acquire)) return {};
-  }
+  if (!plan_active()) return {};
   FaultScope* scope = tl_scope;
   if (scope == nullptr || !scope->arms(site)) return {};
   const auto plan = snapshot_plan();

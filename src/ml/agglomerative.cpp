@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "ml/cluster_metrics.hpp"
 #include "ml/linalg.hpp"
 
 namespace aks::ml {
@@ -95,21 +96,8 @@ void Agglomerative::fit(const common::Matrix& x) {
 std::vector<std::size_t> Agglomerative::medoid_rows(
     const common::Matrix& x) const {
   AKS_CHECK(fitted(), "Agglomerative used before fit");
-  AKS_CHECK(x.rows() == labels_.size(), "medoid_rows expects the training matrix");
-  std::vector<std::size_t> medoids(num_clusters_, 0);
-  std::vector<double> best(num_clusters_,
-                           std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    double total = 0.0;
-    for (std::size_t j = 0; j < x.rows(); ++j) {
-      if (labels_[j] == labels_[i]) total += distance(x.row(i), x.row(j));
-    }
-    if (total < best[labels_[i]]) {
-      best[labels_[i]] = total;
-      medoids[labels_[i]] = i;
-    }
-  }
-  return medoids;
+  return ml::medoid_rows(x, std::vector<int>(labels_.begin(), labels_.end()),
+                         num_clusters_);
 }
 
 }  // namespace aks::ml

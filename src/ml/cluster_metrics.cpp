@@ -97,4 +97,27 @@ double davies_bouldin_index(const common::Matrix& x,
   return total / static_cast<double>(k);
 }
 
+std::vector<std::size_t> medoid_rows(const common::Matrix& x,
+                                     const std::vector<int>& labels,
+                                     std::size_t num_clusters) {
+  AKS_CHECK(x.rows() == labels.size(),
+            "medoid_rows expects the training matrix");
+  std::vector<std::size_t> medoids(num_clusters, 0);
+  std::vector<double> best(num_clusters,
+                           std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    if (labels[i] < 0) continue;
+    const auto c = static_cast<std::size_t>(labels[i]);
+    double total = 0.0;
+    for (std::size_t j = 0; j < x.rows(); ++j) {
+      if (labels[j] == labels[i]) total += distance(x.row(i), x.row(j));
+    }
+    if (total < best[c]) {
+      best[c] = total;
+      medoids[c] = i;
+    }
+  }
+  return medoids;
+}
+
 }  // namespace aks::ml

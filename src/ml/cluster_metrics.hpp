@@ -1,4 +1,5 @@
-// Clustering quality metrics.
+// Clustering quality metrics, and the sum-of-distances medoid shared by the
+// clusterers that have no centroid.
 //
 // The paper picks its cluster-count range from PCA variance (Figure 3);
 // silhouette analysis is the standard alternative, and
@@ -23,5 +24,12 @@ namespace aks::ml {
 /// (scatter_i + scatter_j) / centroid_distance(i, j) ratio.
 [[nodiscard]] double davies_bouldin_index(
     const common::Matrix& x, const std::vector<std::size_t>& labels);
+
+/// Per cluster, the row of `x` with the smallest summed distance to the
+/// other rows of its cluster (its medoid). `labels[i]` is row i's cluster in
+/// [0, num_clusters); rows labelled negative (noise) are skipped.
+[[nodiscard]] std::vector<std::size_t> medoid_rows(
+    const common::Matrix& x, const std::vector<int>& labels,
+    std::size_t num_clusters);
 
 }  // namespace aks::ml

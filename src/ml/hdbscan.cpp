@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "ml/cluster_metrics.hpp"
 #include "ml/linalg.hpp"
 
 namespace aks::ml {
@@ -333,23 +334,7 @@ void Hdbscan::fit(const common::Matrix& x) {
 
 std::vector<std::size_t> Hdbscan::medoid_rows(const common::Matrix& x) const {
   AKS_CHECK(fitted_, "HDBSCAN used before fit");
-  AKS_CHECK(x.rows() == labels_.size(), "medoid_rows expects the training matrix");
-  std::vector<std::size_t> medoids(num_clusters_, 0);
-  std::vector<double> best(num_clusters_,
-                           std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    if (labels_[i] < 0) continue;
-    const auto c = static_cast<std::size_t>(labels_[i]);
-    double total = 0.0;
-    for (std::size_t j = 0; j < x.rows(); ++j) {
-      if (labels_[j] == labels_[i]) total += distance(x.row(i), x.row(j));
-    }
-    if (total < best[c]) {
-      best[c] = total;
-      medoids[c] = i;
-    }
-  }
-  return medoids;
+  return ml::medoid_rows(x, labels_, num_clusters_);
 }
 
 }  // namespace aks::ml

@@ -81,6 +81,7 @@ class SvmClassifier {
 
   [[nodiscard]] bool fitted() const { return !machines_.empty(); }
   [[nodiscard]] int num_classes() const { return num_classes_; }
+  [[nodiscard]] SvmKernel kernel() const { return options_.kernel; }
 
   [[nodiscard]] int predict_row(std::span<const double> row) const;
   [[nodiscard]] std::vector<int> predict(const common::Matrix& x) const;

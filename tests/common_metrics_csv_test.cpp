@@ -25,10 +25,13 @@ class MetricsCsvTest : public ::testing::Test {
   }
 
   std::filesystem::path write_registry(const MetricsRegistry& registry) {
+    // One file per test: CTest runs the tests of this suite in parallel
+    // processes, which must not share (and remove) each other's file.
     path_ = std::filesystem::temp_directory_path() /
             ("aks_metrics_test_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed()) +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
              ".csv");
     std::ofstream out(path_);
     registry.write_csv(out);

@@ -49,6 +49,8 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW((void)FaultPlan::parse("bogus-plan"), common::Error);
   EXPECT_THROW((void)FaultPlan::parse("launch=1.5"), common::Error);
   EXPECT_THROW((void)FaultPlan::parse("mixed@nope"), common::Error);
+  EXPECT_THROW((void)FaultPlan::parse("seed=abc"), common::Error);
+  EXPECT_THROW((void)FaultPlan::parse("seed=-1"), common::Error);
   // Per-site rates must sum to at most 1 (outlier + nan share a site).
   EXPECT_THROW((void)FaultPlan::parse("outlier=0.6,nan=0.6"), common::Error);
 }

@@ -5,9 +5,11 @@
 // ThreadSanitizer in CI (the tsan job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -315,12 +317,22 @@ TEST(SelectionService, ColdPathLedgerCoversPublishAndStoreEnqueue) {
   const auto shapes = test_shapes(512);
   for (const auto& shape : shapes) (void)service.select(shape);  // all cold
 
-  // Prime, then time one full warm pass.
+  // Prime, then time warm hits the way the ledger times a miss, one Timer
+  // per select(), so both sides carry the same clock overhead. The warm
+  // side is the fastest of 5 full passes: one pass slowed by machine load
+  // cannot pass for a slow warm hit.
   for (const auto& shape : shapes) (void)service.select(shape);
-  common::Timer timer;
-  for (const auto& shape : shapes) (void)service.select(shape);
-  const double warm_mean =
-      timer.elapsed_seconds() / static_cast<double>(shapes.size());
+  double warm_mean = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < 5; ++pass) {
+    double pass_seconds = 0.0;
+    for (const auto& shape : shapes) {
+      common::Timer timer;
+      (void)service.select(shape);
+      pass_seconds += timer.elapsed_seconds();
+    }
+    warm_mean = std::min(warm_mean,
+                         pass_seconds / static_cast<double>(shapes.size()));
+  }
 
   const auto stats = service.stats();
   ASSERT_GE(stats.misses, shapes.size());

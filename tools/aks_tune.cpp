@@ -26,6 +26,7 @@
 //   --n <count>          kernel budget (default 8)
 //   --out <file>         where `train` writes the selector
 //   --emit-code          `train` prints the generated C++ selector
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -123,9 +124,9 @@ select::SelectorMethod selector_method_from(const Args& args) {
 std::size_t budget_from(const Args& args) {
   const auto it = args.options.find("n");
   if (it == args.options.end()) return 8;
-  const int parsed = std::stoi(it->second);
+  const std::size_t parsed = common::parse_size(it->second, "--n");
   AKS_CHECK(parsed >= 2 && parsed <= 640, "--n must be in 2..640");
-  return static_cast<std::size_t>(parsed);
+  return parsed;
 }
 
 data::PerfDataset dataset_from(const Args& args) {
@@ -351,15 +352,13 @@ int cmd_select(const Args& args) {
 int cmd_serve(const Args& args) {
   std::size_t threads = 4;
   if (const auto it = args.options.find("threads"); it != args.options.end()) {
-    const int parsed = std::stoi(it->second);
-    AKS_CHECK(parsed >= 1 && parsed <= 256, "--threads must be in 1..256");
-    threads = static_cast<std::size_t>(parsed);
+    threads = common::parse_size(it->second, "--threads");
+    AKS_CHECK(threads >= 1 && threads <= 256, "--threads must be in 1..256");
   }
   std::size_t repeats = 20;
   if (const auto it = args.options.find("repeats"); it != args.options.end()) {
-    const int parsed = std::stoi(it->second);
-    AKS_CHECK(parsed >= 1, "--repeats must be positive");
-    repeats = static_cast<std::size_t>(parsed);
+    repeats = common::parse_size(it->second, "--repeats");
+    AKS_CHECK(repeats >= 1, "--repeats must be positive");
   }
   // 0 (default) = per-request select(); N >= 1 = clients resolve their
   // shuffled pass in select_batch() chunks of N, like a framework picking
@@ -367,9 +366,7 @@ int cmd_serve(const Args& args) {
   std::size_t batch_size = 0;
   if (const auto it = args.options.find("batch-size");
       it != args.options.end()) {
-    const int parsed = std::stoi(it->second);
-    AKS_CHECK(parsed >= 0, "--batch-size must be >= 0");
-    batch_size = static_cast<std::size_t>(parsed);
+    batch_size = common::parse_size(it->second, "--batch-size");
   }
   const auto mode_it = args.options.find("serve-mode");
   const std::string mode =
@@ -402,10 +399,11 @@ int cmd_serve(const Args& args) {
     trace::TraceOptions trace_options;
     if (const auto kb = args.options.find("trace-buffer-kb");
         kb != args.options.end()) {
-      const int parsed = std::stoi(kb->second);
-      AKS_CHECK(parsed >= 1, "--trace-buffer-kb must be positive");
-      trace_options.buffer_bytes_per_thread =
-          static_cast<std::size_t>(parsed) * 1024;
+      const std::size_t kib =
+          common::parse_size(kb->second, "--trace-buffer-kb");
+      AKS_CHECK(kib >= 1 && kib <= SIZE_MAX / 1024,
+                "--trace-buffer-kb must be in 1.." << SIZE_MAX / 1024);
+      trace_options.buffer_bytes_per_thread = kib * 1024;
     }
     trace_session = std::make_unique<trace::TraceSession>(trace_options);
   }
