@@ -11,6 +11,7 @@
 #include "common/stats.hpp"
 #include "core/online.hpp"
 #include "core/pipeline.hpp"
+#include "serve/selection_service.hpp"
 
 namespace aks {
 namespace {
@@ -34,16 +35,18 @@ int run() {
     const double learned_score = select::selector_score(learned, split.test);
 
     // Online tuner timed by the same noisy harness that built the dataset,
-    // then scored on the dataset's recorded scores.
+    // served (and so cached per shape) by the selection service, then
+    // scored on the dataset's recorded scores.
     const perf::TimingModel timing(perf::DeviceSpec::amd_r9_nano(), 0.03, 42);
     select::OnlineTuner online(
         allowed, [&](const gemm::KernelConfig& config,
                      const gemm::GemmShape& shape) {
           return timing.best_of(config, shape, 5);
         });
+    serve::SelectionService service(online);
     std::vector<double> online_scores;
     for (std::size_t r = 0; r < split.test.num_shapes(); ++r) {
-      const auto config = online.select(split.test.shapes()[r].shape);
+      const auto config = service.select(split.test.shapes()[r].shape);
       online_scores.push_back(
           split.test.scores()(r, gemm::config_index(config)));
     }

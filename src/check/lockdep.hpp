@@ -1,19 +1,18 @@
 // Deterministic lock-order validator (lockdep) — the runtime half of the
 // concurrency contract (the compile-time half is common/thread_annotations).
 //
-// Every aks::Mutex / aks::SharedMutex (common/sync.hpp) belongs to a lock
-// *class*, registered once by name ("serve.shard", "store.state", ...);
-// instances of the same class — all shard stripes, all single-flight
-// entries — share one class, so the order graph stays small no matter how
-// many mutexes the serving layer allocates. Each acquisition made while
-// other classes are held adds held → acquired edges to a process-global
-// directed graph. A cycle in that graph is a deadlock *potential*: two code
-// paths that disagree about lock order will eventually interleave into a
-// real deadlock, even if no test schedule has hit it yet. Unlike TSan —
-// which only sees the interleavings that actually ran — the edge graph is a
-// function of the code paths executed, not of the thread schedule, so one
-// single-threaded pass over a code path certifies its ordering for every
-// schedule.
+// Every aks::Mutex (common/sync.hpp) belongs to a lock *class*, registered
+// once by name ("serve.shard", "store.state", ...); instances of the same
+// class — all shard stripes, all single-flight entries — share one class,
+// so the order graph stays small no matter how many mutexes the serving
+// layer allocates. Each acquisition made while other classes are held adds
+// held → acquired edges to a process-global directed graph. A cycle in that
+// graph is a deadlock *potential*: two code paths that disagree about lock
+// order will eventually interleave into a real deadlock, even if no test
+// schedule has hit it yet. Unlike TSan — which only sees the interleavings
+// that actually ran — the edge graph is a function of the code paths
+// executed, not of the thread schedule, so one single-threaded pass over a
+// code path certifies its ordering for every schedule.
 //
 // Also detected: blocking on a condition variable while holding any *other*
 // tracked mutex (held-while-blocking), the classic lost-wakeup/deadlock

@@ -72,19 +72,4 @@ void write_matrix_csv(const std::filesystem::path& path,
   write_csv(path, table);
 }
 
-Matrix parse_numeric(const CsvTable& table) {
-  Matrix out(table.num_rows(), table.num_cols());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    for (std::size_t c = 0; c < table.num_cols(); ++c) {
-      try {
-        out(r, c) = std::stod(table.rows[r][c]);
-      } catch (const std::exception&) {
-        AKS_FAIL("non-numeric CSV cell at row " << r << " col " << c << ": '"
-                 << table.rows[r][c] << "'");
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace aks::common

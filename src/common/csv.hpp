@@ -39,7 +39,4 @@ void write_matrix_csv(const std::filesystem::path& path,
                       const std::vector<std::string>& header,
                       const Matrix& values, int decimals = 9);
 
-/// Convenience: parses all cells of the table (excluding header) as doubles.
-[[nodiscard]] Matrix parse_numeric(const CsvTable& table);
-
 }  // namespace aks::common

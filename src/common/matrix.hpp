@@ -87,15 +87,6 @@ class MatrixT {
     data_.assign(rows * cols, init);
   }
 
-  /// Appends a row; the matrix must be empty or have matching column count.
-  void append_row(std::span<const T> values) {
-    if (rows_ == 0 && cols_ == 0) cols_ = values.size();
-    AKS_CHECK(values.size() == cols_, "append_row: got " << values.size()
-              << " values, expected " << cols_);
-    data_.insert(data_.end(), values.begin(), values.end());
-    ++rows_;
-  }
-
   /// Returns a new matrix containing the given rows in the given order.
   [[nodiscard]] MatrixT select_rows(std::span<const std::size_t> indices) const {
     MatrixT out(indices.size(), cols_);

@@ -22,10 +22,9 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
-void Rng::reseed(std::uint64_t seed) {
+Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-  has_cached_normal_ = false;
 }
 
 std::uint64_t Rng::next_u64() {

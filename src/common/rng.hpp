@@ -15,10 +15,8 @@ namespace aks::common {
 /// xoshiro256++ by Blackman & Vigna (public domain reference algorithm).
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
-
-  /// Re-initialises state from a 64-bit seed via splitmix64.
-  void reseed(std::uint64_t seed);
+  /// Initialises state from a 64-bit seed via splitmix64.
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Uniform 64-bit value.
   std::uint64_t next_u64();

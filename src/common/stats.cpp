@@ -35,16 +35,6 @@ double geometric_mean(std::span<const double> xs) {
   return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
-double harmonic_mean(std::span<const double> xs) {
-  AKS_CHECK(!xs.empty(), "harmonic_mean of empty range");
-  double inv_sum = 0.0;
-  for (double x : xs) {
-    AKS_CHECK(x > 0.0, "harmonic_mean requires positive values, got " << x);
-    inv_sum += 1.0 / x;
-  }
-  return static_cast<double>(xs.size()) / inv_sum;
-}
-
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
 double min_within_band(std::span<double> xs, double band,
@@ -98,12 +88,6 @@ std::size_t argmax(std::span<const double> xs) {
   AKS_CHECK(!xs.empty(), "argmax of empty range");
   return static_cast<std::size_t>(
       std::distance(xs.begin(), std::max_element(xs.begin(), xs.end())));
-}
-
-std::size_t argmin(std::span<const double> xs) {
-  AKS_CHECK(!xs.empty(), "argmin of empty range");
-  return static_cast<std::size_t>(
-      std::distance(xs.begin(), std::min_element(xs.begin(), xs.end())));
 }
 
 std::vector<std::size_t> argsort(std::span<const double> xs) {

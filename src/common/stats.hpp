@@ -23,9 +23,6 @@ namespace aks::common {
 /// Geometric mean; requires non-empty range of strictly positive values.
 [[nodiscard]] double geometric_mean(std::span<const double> xs);
 
-/// Harmonic mean; requires non-empty range of strictly positive values.
-[[nodiscard]] double harmonic_mean(std::span<const double> xs);
-
 /// Median (average of middle two for even sizes); requires non-empty range.
 [[nodiscard]] double median(std::span<const double> xs);
 
@@ -47,9 +44,6 @@ namespace aks::common {
 
 /// Index of the maximum element; first occurrence wins ties.
 [[nodiscard]] std::size_t argmax(std::span<const double> xs);
-
-/// Index of the minimum element; first occurrence wins ties.
-[[nodiscard]] std::size_t argmin(std::span<const double> xs);
 
 /// Indices that would sort `xs` ascending (stable).
 [[nodiscard]] std::vector<std::size_t> argsort(std::span<const double> xs);

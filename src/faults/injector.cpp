@@ -107,11 +107,6 @@ bool plan_active(Site site) {
   return plan != nullptr && plan->active(site);
 }
 
-std::shared_ptr<const FaultPlan> current_plan() {
-  const auto plan = snapshot_plan();
-  return (plan != nullptr && plan->any_active()) ? plan : nullptr;
-}
-
 Fault probe(Site site) {
   if (!plan_active()) return {};
   FaultScope* scope = tl_scope;

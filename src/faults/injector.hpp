@@ -109,9 +109,6 @@ template <typename... Rest>
 [[nodiscard]] bool plan_active();
 /// True when the installed plan has a non-zero rate at `site`.
 [[nodiscard]] bool plan_active(Site site);
-/// Snapshot of the installed plan; nullptr when none (or all-zero).
-[[nodiscard]] std::shared_ptr<const FaultPlan> current_plan();
-
 /// Deterministic probe: the fault (or kNone) for the current scope's next
 /// draw at `site`. Pure in (plan seed, site, scope key, draw index).
 [[nodiscard]] Fault probe(Site site);

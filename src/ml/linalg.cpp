@@ -10,30 +10,6 @@
 
 namespace aks::ml {
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  AKS_CHECK(a.cols() == b.rows(), "matmul: " << a.rows() << "x" << a.cols()
-            << " * " << b.rows() << "x" << b.cols());
-  Matrix c(a.rows(), b.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
-    }
-  }
-  return c;
-}
-
-std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
-  AKS_CHECK(a.cols() == x.size(), "matvec: " << a.rows() << "x" << a.cols()
-            << " * vec(" << x.size() << ")");
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    y[i] = dot(a.row(i), x);
-  }
-  return y;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   AKS_CHECK(a.size() == b.size(), "dot: size mismatch " << a.size() << " vs "
             << b.size());

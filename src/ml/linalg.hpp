@@ -16,13 +16,6 @@ namespace aks::ml {
 
 using common::Matrix;
 
-/// C = A * B.
-[[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
-
-/// y = A * x.
-[[nodiscard]] std::vector<double> matvec(const Matrix& a,
-                                         std::span<const double> x);
-
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 
 /// Euclidean norm.

@@ -1,8 +1,5 @@
 #include "ml/metrics.hpp"
 
-#include <algorithm>
-#include <map>
-
 #include "common/error.hpp"
 
 namespace aks::ml {
@@ -16,35 +13,6 @@ double accuracy(const std::vector<int>& truth,
     hits += truth[i] == predicted[i] ? 1u : 0u;
   }
   return static_cast<double>(hits) / static_cast<double>(truth.size());
-}
-
-common::Matrix confusion_matrix(const std::vector<int>& truth,
-                                const std::vector<int>& predicted,
-                                int num_classes) {
-  AKS_CHECK(truth.size() == predicted.size(), "confusion: size mismatch");
-  AKS_CHECK(num_classes > 0, "confusion: num_classes must be positive");
-  common::Matrix c(static_cast<std::size_t>(num_classes),
-                   static_cast<std::size_t>(num_classes), 0.0);
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    AKS_CHECK(truth[i] >= 0 && truth[i] < num_classes,
-              "label out of range: " << truth[i]);
-    AKS_CHECK(predicted[i] >= 0 && predicted[i] < num_classes,
-              "prediction out of range: " << predicted[i]);
-    c(static_cast<std::size_t>(truth[i]),
-      static_cast<std::size_t>(predicted[i])) += 1.0;
-  }
-  return c;
-}
-
-int majority_class(const std::vector<int>& labels) {
-  AKS_CHECK(!labels.empty(), "majority of empty labels");
-  std::map<int, std::size_t> counts;
-  for (const int label : labels) ++counts[label];
-  return std::max_element(counts.begin(), counts.end(),
-                          [](const auto& a, const auto& b) {
-                            return a.second < b.second;
-                          })
-      ->first;
 }
 
 }  // namespace aks::ml

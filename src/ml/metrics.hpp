@@ -11,12 +11,4 @@ namespace aks::ml {
 [[nodiscard]] double accuracy(const std::vector<int>& truth,
                               const std::vector<int>& predicted);
 
-/// Confusion matrix C where C(i, j) counts truth i predicted as j.
-[[nodiscard]] common::Matrix confusion_matrix(const std::vector<int>& truth,
-                                              const std::vector<int>& predicted,
-                                              int num_classes);
-
-/// Index of the most frequent label (majority class).
-[[nodiscard]] int majority_class(const std::vector<int>& labels);
-
 }  // namespace aks::ml

@@ -17,9 +17,9 @@ namespace aks::serve {
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
-  return std::bit_ceil(std::max<std::size_t>(1, n));
-}
+// Cache shards: a power of two, so a shape's shard is its hash masked.
+constexpr std::size_t kNumShards = 16;
+constexpr std::size_t kShardMask = kNumShards - 1;
 
 // select() latency is *sampled* (1 request in 32 per thread): recording
 // every call would put three shared atomic RMWs on the cache-hit path and
@@ -53,12 +53,10 @@ SelectionService::SelectionService(WarmUpFn warm_up, ServiceOptions options)
       batch_amortized_latency_(
           metrics_.histogram("serve.batch_amortized_latency")) {
   AKS_CHECK(warm_up_ != nullptr, "selection service needs a warm-up function");
-  const std::size_t shards = round_up_pow2(options.num_shards);
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  shards_.reserve(kNumShards);
+  for (std::size_t s = 0; s < kNumShards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  shard_mask_ = shards - 1;
 }
 
 SelectionService::SelectionService(const select::KernelSelector& selector,
@@ -69,6 +67,7 @@ SelectionService::SelectionService(const select::KernelSelector& selector,
           },
           options) {
   record_source_ = store::Source::kLearnedSelector;
+  shipped_ = selector.allowed();
 }
 
 SelectionService::SelectionService(select::OnlineTuner& tuner,
@@ -79,12 +78,13 @@ SelectionService::SelectionService(select::OnlineTuner& tuner,
           },
           options) {
   tuner_ = &tuner;
+  shipped_ = tuner.candidates();
 }
 
 SelectionService::Shard& SelectionService::shard_for(
     const gemm::GemmShape& shape) {
   const std::size_t h = std::hash<gemm::GemmShape>{}(shape);
-  return *shards_[h & shard_mask_];
+  return *shards_[h & kShardMask];
 }
 
 gemm::KernelConfig SelectionService::select(const gemm::GemmShape& shape) {
@@ -94,7 +94,7 @@ gemm::KernelConfig SelectionService::select(const gemm::GemmShape& shape) {
     latency.emplace(select_latency_);
   }
   const std::size_t shard_index =
-      std::hash<gemm::GemmShape>{}(shape) & shard_mask_;
+      std::hash<gemm::GemmShape>{}(shape) & kShardMask;
   Shard& shard = *shards_[shard_index];
 
   trace::Span span;
@@ -183,8 +183,8 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
   }
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return (uniq_hash[a] & shard_mask_) <
-                            (uniq_hash[b] & shard_mask_);
+                     return (uniq_hash[a] & kShardMask) <
+                            (uniq_hash[b] & kShardMask);
                    });
   std::vector<std::shared_ptr<Entry>> uentry(nu);
   std::vector<Answer> uanswer(nu);
@@ -192,12 +192,12 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
   std::vector<std::uint32_t> foreign;  // another caller's in-flight warm-ups
   std::size_t shard_groups = 0;
   for (std::size_t g = 0; g < nu;) {
-    const std::size_t shard_index = uniq_hash[order[g]] & shard_mask_;
+    const std::size_t shard_index = uniq_hash[order[g]] & kShardMask;
     Shard& shard = *shards_[shard_index];
     ++shard_groups;
     std::uint64_t local_hits = 0;
     aks::MutexLock lock(shard.m);
-    for (; g < nu && (uniq_hash[order[g]] & shard_mask_) == shard_index; ++g) {
+    for (; g < nu && (uniq_hash[order[g]] & kShardMask) == shard_index; ++g) {
       const std::uint32_t u = order[g];
       const Claim claimed = claim(shard, shapes[uniq_first[u]]);
       if (!claimed.leader &&
@@ -224,7 +224,7 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
   std::vector<store::SelectionRecord> wave_records;
   for (const std::uint32_t u : wave) {
     uanswer[u] = lead(shapes[uniq_first[u]],
-                      *shards_[uniq_hash[u] & shard_mask_], *uentry[u],
+                      *shards_[uniq_hash[u] & kShardMask], *uentry[u],
                       &wave_records);
   }
   if (!wave_records.empty()) {
@@ -235,7 +235,7 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
     warmup_seconds_.add(enqueue_timer.elapsed_seconds());
   }
   for (const std::uint32_t u : foreign) {
-    uanswer[u] = adopt(*shards_[uniq_hash[u] & shard_mask_], *uentry[u]);
+    uanswer[u] = adopt(*shards_[uniq_hash[u] & kShardMask], *uentry[u]);
   }
 
   // -- Fan out to input order. Duplicates of a healthy unique are answered
@@ -256,7 +256,7 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
       out[i] = select(shapes[i]);  // sequential-equivalent retry; may throw
     } else {
       out[i] = got.config;
-      shards_[uniq_hash[u] & shard_mask_]->hits.fetch_add(
+      shards_[uniq_hash[u] & kShardMask]->hits.fetch_add(
           1, std::memory_order_relaxed);
       ++deduped;
     }
@@ -279,6 +279,13 @@ std::size_t SelectionService::warm_start(store::SelectionStore& store,
   std::size_t seeded = 0;
   for (const store::SelectionRecord& record : store.selections()) {
     if (record.device_fingerprint != device_fingerprint_) continue;
+    // A stored config the wrapped tuner or selector no longer ships is
+    // re-tuned on its first request, never brought back.
+    if (!shipped_.empty() &&
+        std::find(shipped_.begin(), shipped_.end(), record.config_index) ==
+            shipped_.end()) {
+      continue;
+    }
     // A transferred record was never measured here: serve it, but leave it
     // provisional so refresh_provisional() still re-tunes it locally.
     const bool provisional = record.source == store::Source::kTransfer;
@@ -290,9 +297,6 @@ std::size_t SelectionService::warm_start(store::SelectionStore& store,
     auto& slot = shard.map[record.shape];
     if (slot) continue;  // already cached (warm_start called twice)
     slot = std::move(entry);
-    if (!provisional && tuner_ != nullptr) {
-      (void)tuner_->preseed(record.shape, record.config_index);
-    }
     preloaded_.add();
     ++seeded;
   }

@@ -6,9 +6,10 @@
 // procedure (a trained KernelSelector, an OnlineTuner, or an arbitrary
 // warm-up function) behind one thread-safe API:
 //
-//  * sharded cache — the shape → config map is split across N mutex-striped
-//    shards keyed by std::hash<GemmShape>, so unrelated shapes never
-//    contend and cache hits cost one shard lock plus one atomic counter;
+//  * sharded cache — the one shape → config cache of the library, split
+//    across 16 mutex-striped shards keyed by std::hash<GemmShape>, so
+//    unrelated shapes never contend and cache hits cost one shard lock plus
+//    one atomic counter;
 //
 //  * single-flight warm-up — the first request for a shape becomes the
 //    leader and runs the warm-up (for an online tuner, the |candidates|
@@ -25,13 +26,13 @@
 //    shared-cache-line histogram traffic;
 //
 //  * persistence (optional) — warm_start() pre-seeds the cache from a
-//    store::SelectionStore so stored shapes are served with zero warm-up
-//    sweeps, newly tuned shapes are written behind into the store (the
-//    caller flushes), and shapes only known from a *different* device are
-//    served as cross-device transfer priors: published immediately (marked
-//    provisional), then re-tuned by refresh_provisional() which atomically
-//    swaps in the locally measured answer. See DESIGN.md "Persistence &
-//    warm-start";
+//    store::SelectionStore so stored shapes of a still-shipped config are
+//    served with zero warm-up sweeps, newly tuned shapes are written behind
+//    into the store (the caller flushes), and shapes only known from a
+//    *different* device are served as cross-device transfer priors:
+//    published immediately (marked provisional), then re-tuned by
+//    refresh_provisional() which atomically swaps in the locally measured
+//    answer. See DESIGN.md "Persistence & warm-start";
 //
 //  * batched resolution — select_batch() resolves a whole vector of shapes
 //    (a graph-build wave: real frameworks pick kernels for every layer at
@@ -81,8 +82,6 @@ enum class Source : std::uint8_t;
 namespace aks::serve {
 
 struct ServiceOptions {
-  /// Number of cache shards; rounded up to a power of two, minimum 1.
-  std::size_t num_shards = 16;
   /// Degradation contract (see DESIGN.md "Fault model"): when set, a
   /// warm-up that throws serves this configuration to the leader and every
   /// coalesced waiter instead of rethrowing — select() never throws. The
@@ -142,9 +141,9 @@ class SelectionService {
   /// been called). Selector inference is read-only, hence shareable.
   explicit SelectionService(const select::KernelSelector& selector,
                             ServiceOptions options = {});
-  /// Serves an online tuner (must outlive the service). Single-flight means
-  /// the tuner sees each shape exactly once, so its own warm-up accounting
-  /// stays exact under concurrency.
+  /// Serves an online tuner (must outlive the service). The tuner sweeps on
+  /// every call; single-flight means it sweeps each shape exactly once, so
+  /// its sweep count stays exact under concurrency.
   explicit SelectionService(select::OnlineTuner& tuner,
                             ServiceOptions options = {});
 
@@ -177,8 +176,10 @@ class SelectionService {
   /// the cache with every stored selection for `device`'s fingerprint —
   /// those shapes are then served with zero warm-up sweeps. Stored
   /// transfer-sourced records pre-seed as *provisional* (still due a local
-  /// re-tune); tuner-sourced records also pre-seed the wrapped OnlineTuner
-  /// so its own cache never re-sweeps them. Shapes absent for this device
+  /// re-tune). A record whose config the wrapped tuner does not sweep, or
+  /// the wrapped selector does not allow, is not pre-seeded: a config no
+  /// longer shipped is re-tuned on its shape's first request, never brought
+  /// back, and is not counted in the result. Shapes absent for this device
   /// but present for another one are afterwards served via nearest-device
   /// transfer priors on their first request. Newly warmed shapes are
   /// written behind into the store; persisting them is the caller's
@@ -200,7 +201,6 @@ class SelectionService {
   std::size_t refresh_provisional();
 
   [[nodiscard]] ServiceStats stats() const;
-  [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
 
   /// Live registry backing stats(); export with metrics().write_csv(out).
   /// (Reconciles the shard-striped hit counts into `serve.hits` first.)
@@ -302,9 +302,13 @@ class SelectionService {
 
   WarmUpFn warm_up_;
   std::optional<gemm::KernelConfig> fallback_;
-  /// Set by the OnlineTuner constructor so warm_start() can pre-seed the
-  /// tuner's own cache alongside the service cache.
+  /// Set by the OnlineTuner constructor: write-behind records carry the
+  /// tuner's quarantine count.
   select::OnlineTuner* tuner_ = nullptr;
+  /// Canonical indices the wrapped tuner or selector can answer with; a
+  /// stored record outside them is not pre-seeded. Empty for a plain
+  /// warm-up function (any stored config may be served).
+  std::vector<std::size_t> shipped_;
   /// Persistence, armed by warm_start(); null means no store attached.
   store::SelectionStore* store_ = nullptr;
   /// Provenance tag for write-behind records (which layer this service
@@ -313,7 +317,6 @@ class SelectionService {
   std::optional<perf::DeviceSpec> device_;
   std::uint64_t device_fingerprint_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shard_mask_ = 0;
   mutable aks::Mutex sync_mutex_{"serve.hit_sync"};
   /// Stripe total already folded into hits_; guarded so the reconciliation
   /// delta never depends on reading hits_ back.

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "gemm/registry.hpp"
 #include "store/selection_store.hpp"
 
@@ -86,15 +87,6 @@ Source source_from_string(const std::string& name) {
   return Source::kImported;
 }
 
-std::vector<std::string> split_csv_row(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream in(line);
-  while (std::getline(in, field, ',')) fields.push_back(field);
-  if (!line.empty() && line.back() == ',') fields.emplace_back();
-  return fields;
-}
-
 void export_store_csv(const SelectionStore& store, std::ostream& out) {
   out << std::setprecision(17);
   for (const auto& profile : store.devices()) {
@@ -123,7 +115,9 @@ std::size_t import_store_csv(std::istream& in, SelectionStore& store) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    const auto fields = split_csv_row(line);
+    // Fields are numbers, identifiers and config names: none may contain a
+    // comma, which import re-checks where it matters.
+    const auto fields = common::split(line, ',');
     if (fields[0] == "device") {
       AKS_CHECK(fields.size() ==
                     3 + perf::DeviceSpec::kNumSimilarityFeatures,

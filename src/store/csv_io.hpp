@@ -35,10 +35,6 @@ class SelectionStore;
 /// hand-authored rows carry the import provenance tag.
 [[nodiscard]] Source source_from_string(const std::string& name);
 
-/// Naive split on ',' (fields are numbers, identifiers and config names —
-/// none may contain commas, which import re-checks where it matters).
-[[nodiscard]] std::vector<std::string> split_csv_row(const std::string& line);
-
 /// Writes every device profile then every selection, full double precision.
 void export_store_csv(const SelectionStore& store, std::ostream& out);
 

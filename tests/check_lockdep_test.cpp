@@ -251,6 +251,31 @@ TEST(Lockdep, DrillWithTracingStaysClean) {
   reset();
 }
 
+// The ordering ranks of DESIGN.md "Concurrency contract", pinned: every
+// nesting the full drill (tracing on) observes is one of the three
+// sanctioned ones, and everything else — the serving path included — takes
+// its locks leaf-only.
+TEST(Lockdep, DrillEdgesAreSanctionedNestings) {
+  LockDrillOptions options;
+  options.threads = 4;
+  options.requests_per_thread = 32;
+  options.trace = true;
+  const Report report = run_lock_drill(options);
+  EXPECT_TRUE(report.clean());
+  const auto sanctioned = [](const EdgeInfo& edge) {
+    const bool to_trace = edge.to_name.rfind("trace.", 0) == 0;
+    return (edge.from_name == "store.state" &&
+            (edge.to_name == "store.journal" || to_trace)) ||
+           (edge.from_name == "trace.session" && edge.to_name == "trace.impl");
+  };
+  for (const auto& edge : report.edges) {
+    EXPECT_TRUE(sanctioned(edge))
+        << "unsanctioned nesting " << edge.from_name << " -> "
+        << edge.to_name;
+  }
+  reset();
+}
+
 TEST(Lockdep, JsonExportParsesAndNamesSurvive) {
   reset();
   // Hook-driven inversion for the same reason as in

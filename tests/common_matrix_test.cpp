@@ -83,23 +83,6 @@ TEST(Matrix, ResizeDiscardsContents) {
   EXPECT_DOUBLE_EQ(m(2, 0), 2.0);
 }
 
-TEST(Matrix, AppendRowGrowsMatrix) {
-  Matrix m;
-  const double row1[] = {1.0, 2.0};
-  const double row2[] = {3.0, 4.0};
-  m.append_row(row1);
-  m.append_row(row2);
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
-}
-
-TEST(Matrix, AppendRowMismatchThrows) {
-  Matrix m(1, 3);
-  const double bad[] = {1.0, 2.0};
-  EXPECT_THROW(m.append_row(bad), Error);
-}
-
 TEST(Matrix, SelectRowsReorders) {
   Matrix m{{1.0}, {2.0}, {3.0}};
   const std::size_t idx[] = {2, 0, 2};

@@ -11,6 +11,7 @@
 #include "dataset/benchmark_runner.hpp"
 #include "faults/injector.hpp"
 #include "perfmodel/cost_model.hpp"
+#include "serve/selection_service.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::select {
@@ -45,7 +46,9 @@ TEST(OnlineTuner, PicksTrueBestCandidateWithoutNoise) {
 }
 
 TEST(OnlineTuner, CachesPerShape) {
-  // Exact one-trial-per-candidate accounting only holds fault-free.
+  // The tuner sweeps on every call; the selection service in front of it is
+  // the one per-shape cache. Exact one-trial-per-candidate accounting only
+  // holds fault-free.
   faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
   std::size_t timer_calls = 0;
   OnlineTuner tuner({0, 1, 2},
@@ -53,18 +56,23 @@ TEST(OnlineTuner, CachesPerShape) {
                       ++timer_calls;
                       return 1e-3;
                     });
+  serve::SelectionService service(tuner);
   const gemm::GemmShape a{64, 64, 64};
   const gemm::GemmShape b{128, 64, 64};
-  (void)tuner.select(a);
+  (void)service.select(a);
   EXPECT_EQ(timer_calls, 3u);  // one trial per candidate
-  (void)tuner.select(a);
+  (void)service.select(a);
   EXPECT_EQ(timer_calls, 3u);  // cache hit
-  (void)tuner.select(b);
+  (void)service.select(b);
   EXPECT_EQ(timer_calls, 6u);  // new shape -> new trials
-  EXPECT_EQ(tuner.cache_hits(), 1u);
-  EXPECT_EQ(tuner.cache_misses(), 2u);
-  EXPECT_EQ(tuner.cached_shapes(), 2u);
-  EXPECT_NEAR(tuner.trial_seconds(), 6e-3, 1e-12);
+  (void)tuner.select(a);
+  EXPECT_EQ(timer_calls, 9u);  // the tuner itself re-sweeps
+  EXPECT_EQ(tuner.cache_misses(), 3u);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.cached_shapes, 2u);
+  EXPECT_NEAR(tuner.trial_seconds(), 9e-3, 1e-12);
 }
 
 TEST(OnlineTuner, AsymptoticallyMatchesOracleOnCandidates) {

@@ -1,9 +1,9 @@
-// OnlineTuner thread-safety: the tuner's cache and statistics used to be
-// plain fields mutated without synchronization, so concurrent select()
-// calls were a data race. These tests pin down the repaired contract:
-// single-threaded accounting is unchanged, concurrent callers always agree
-// on a shape's winner, and the hit/miss counters stay coherent. They run
-// under ThreadSanitizer in CI (the tsan job) to keep the race fixed.
+// OnlineTuner contract: every select() is one trial sweep (the tuner holds
+// no per-shape cache — serve::SelectionService is the one cache), the
+// sweep accounting is exact, concurrent sweeps agree on a shape's winner,
+// and concurrent sweeps that fail update the shared quarantine health
+// coherently. The concurrency tests run under ThreadSanitizer in CI (the
+// tsan job).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +37,7 @@ std::vector<gemm::GemmShape> test_shapes(std::size_t n) {
 }
 
 TEST(OnlineTunerConcurrency, SingleThreadedStatsContractUnchanged) {
-  // Pin fault-free behaviour: this test asserts the exact legacy timer-call
+  // Pin fault-free behaviour: this test asserts the exact timer-call
   // accounting, which an AKS_FAULT_PLAN environment plan would perturb.
   faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
   const std::vector<std::size_t> candidates = {0, 100, 250, 400, 639};
@@ -51,11 +51,10 @@ TEST(OnlineTunerConcurrency, SingleThreadedStatsContractUnchanged) {
   const gemm::GemmShape shape{256, 256, 256};
   const auto first = tuner.select(shape);
   const auto second = tuner.select(shape);
+  // Each select() is one sweep: one timer call per candidate, every time.
   EXPECT_EQ(gemm::config_index(first), gemm::config_index(second));
-  EXPECT_EQ(tuner.cache_misses(), 1u);
-  EXPECT_EQ(tuner.cache_hits(), 1u);
-  EXPECT_EQ(tuner.cached_shapes(), 1u);
-  EXPECT_EQ(timer_calls.load(), static_cast<int>(candidates.size()));
+  EXPECT_EQ(tuner.cache_misses(), 2u);
+  EXPECT_EQ(timer_calls.load(), static_cast<int>(2 * candidates.size()));
   EXPECT_GT(tuner.trial_seconds(), 0.0);
 }
 
@@ -107,8 +106,8 @@ TEST(OnlineTuner, FailingTrialRetriedUpToTrialAttempts) {
 
 TEST(OnlineTuner, RejectsInvalidShapesBeforeAnySweep) {
   // A caller's bad shape is refused at select(). Reaching the trials, it
-  // would fail every one as if the kernels were at fault, quarantine the
-  // healthy candidates for good and cache the degraded fallback.
+  // would fail every one as if the kernels were at fault and quarantine the
+  // healthy candidates for good.
   faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
   const std::vector<std::size_t> candidates = {0, 100, 250, 400};
   std::atomic<int> timer_calls{0};
@@ -129,8 +128,6 @@ TEST(OnlineTuner, RejectsInvalidShapesBeforeAnySweep) {
         << shape.to_string();
   }
   EXPECT_TRUE(tuner.quarantined().empty());
-  EXPECT_EQ(tuner.cached_shapes(), 0u);
-  EXPECT_EQ(tuner.cache_hits(), 0u);
   EXPECT_EQ(tuner.cache_misses(), 0u);
   EXPECT_EQ(tuner.trial_failures(), 0u);
   EXPECT_EQ(tuner.degraded_selects(), 0u);
@@ -146,6 +143,9 @@ TEST(OnlineTuner, RejectsInvalidShapesBeforeAnySweep) {
 }
 
 TEST(OnlineTunerConcurrency, ConcurrentSelectsAgreeOnEveryShape) {
+  // Fault-free: under a plan, quarantine evolving between two sweeps of the
+  // same shape may legitimately change its winner.
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
   const std::vector<std::size_t> candidates = {0, 100, 250, 400, 639};
   OnlineTuner tuner(candidates, model_timer());
   const auto shapes = test_shapes(16);
@@ -153,7 +153,7 @@ TEST(OnlineTunerConcurrency, ConcurrentSelectsAgreeOnEveryShape) {
   constexpr std::size_t kRepeats = 5;
 
   // winners[t][s]: config index thread t observed for shape s (last repeat;
-  // all repeats must agree because the cache is write-once per shape).
+  // all repeats must agree because every sweep measures the same times).
   std::vector<std::vector<std::size_t>> winners(
       kThreads, std::vector<std::size_t>(shapes.size()));
   std::atomic<bool> stable{true};
@@ -179,14 +179,52 @@ TEST(OnlineTunerConcurrency, ConcurrentSelectsAgreeOnEveryShape) {
     }
   }
 
-  // Every select() is counted exactly once, as a hit or a miss.
-  const std::size_t total = kThreads * kRepeats * shapes.size();
-  EXPECT_EQ(tuner.cache_hits() + tuner.cache_misses(), total);
-  // At least one sweep per shape; duplicates only from first-sight races.
-  EXPECT_GE(tuner.cache_misses(), shapes.size());
-  EXPECT_LE(tuner.cache_misses(), kThreads * shapes.size());
-  EXPECT_EQ(tuner.cached_shapes(), shapes.size());
+  // Every select() is counted exactly once, as a sweep.
+  EXPECT_EQ(tuner.cache_misses(), kThreads * kRepeats * shapes.size());
   EXPECT_GT(tuner.trial_seconds(), 0.0);
+}
+
+TEST(OnlineTunerConcurrency, ConcurrentSweepsUpdateQuarantineHealth) {
+  // Every warm-up trial fails: concurrent sweeps race to fold their
+  // failures into the shared health vector. Each sweep degrades to the
+  // fallback, every non-fallback candidate ends quarantined, and no sweep
+  // or failure goes uncounted.
+  faults::FaultPlan plan;
+  plan.seed = 11;
+  plan.at(faults::Site::kWarmUpTrial).launch_failure = 1.0;
+  faults::ScopedFaultPlan install(plan);
+  const std::vector<std::size_t> candidates = {5, 200, 450, 600};
+  OnlineTuner tuner(candidates, model_timer());
+  const auto shapes = test_shapes(12);
+  constexpr std::size_t kThreads = 8;
+
+  std::atomic<bool> always_fallback{true};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t s = 0; s < shapes.size(); ++s) {
+        const auto& shape = shapes[(s + t) % shapes.size()];
+        if (gemm::config_index(tuner.select(shape)) != candidates.front()) {
+          always_fallback.store(false);
+        }
+        // Concurrent readers of the health vector.
+        (void)tuner.is_quarantined(candidates.back());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const std::size_t sweeps = kThreads * shapes.size();
+  EXPECT_TRUE(always_fallback.load());
+  EXPECT_EQ(tuner.cache_misses(), sweeps);
+  EXPECT_EQ(tuner.degraded_selects(), sweeps);
+  EXPECT_EQ(tuner.quarantined(), (std::vector<std::size_t>{200, 450, 600}));
+  EXPECT_FALSE(tuner.is_quarantined(candidates.front()));
+  // The fallback is tried in every sweep; a quarantined candidate only in
+  // sweeps that snapshotted it as still eligible.
+  const std::size_t attempts = OnlineTuner::kTrialAttempts;
+  EXPECT_GE(tuner.trial_failures(), sweeps * attempts);
+  EXPECT_LE(tuner.trial_failures(), sweeps * candidates.size() * attempts);
 }
 
 }  // namespace

@@ -11,27 +11,11 @@
 namespace aks::ml {
 namespace {
 
-TEST(Linalg, MatmulKnownProduct) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const Matrix b{{5, 6}, {7, 8}};
-  const Matrix c = matmul(a, b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 19);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50);
-}
-
-TEST(Linalg, MatmulShapeMismatchThrows) {
-  EXPECT_THROW((void)matmul(Matrix(2, 3), Matrix(2, 3)), common::Error);
-}
-
-TEST(Linalg, MatvecMatchesMatmul) {
-  const Matrix a{{1, 2, 3}, {4, 5, 6}};
-  const double x[] = {1, 0, -1};
-  const auto y = matvec(a, x);
-  EXPECT_DOUBLE_EQ(y[0], -2);
-  EXPECT_DOUBLE_EQ(y[1], -2);
-  EXPECT_THROW((void)matvec(a, std::vector<double>{1.0}), common::Error);
+/// y = A * x.
+std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
+  std::vector<double> y(a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) y[i] = dot(a.row(i), x);
+  return y;
 }
 
 TEST(Linalg, DotNormDistance) {
@@ -191,7 +175,10 @@ TEST(Eigen, RankDeficientGramAtProductionShape) {
   const std::size_t rank = 40;
   Matrix x(n, rank);
   for (auto& v : x.data()) v = rng.normal();
-  const Matrix gram = matmul(x, x.transposed());
+  Matrix gram(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) gram(i, j) = dot(x.row(i), x.row(j));
+  }
   const auto result = symmetric_eigen(gram);
   expect_valid_eigendecomposition(gram, result);
   EXPECT_GT(result.eigenvalues[rank - 1], 1.0);

@@ -236,9 +236,7 @@ TEST(SelectionService, RejectsInvalidShapesBeforeTheTuner) {
   // candidates would be quarantined for good, and the degraded answer
   // would be cached and written behind as a tuned decision.
   const std::vector<std::size_t> candidates = {0, 100, 250, 400};
-  select::TunerOptions tuner_options;
-  tuner_options.quarantine_threshold = 3;
-  select::OnlineTuner tuner(candidates, model_timer(), tuner_options);
+  select::OnlineTuner tuner(candidates, model_timer());
   SelectionService service(tuner);
 
   for (std::size_t i = 0; i < 8; ++i) {
@@ -265,7 +263,7 @@ TEST(SelectionService, RejectsInvalidShapesBeforeTheTuner) {
   // The tuner is as healthy as a fresh one: a valid shape gets its true
   // best, not the quarantine fallback.
   const gemm::GemmShape shape{256, 256, 256};
-  select::OnlineTuner fresh(candidates, model_timer(), tuner_options);
+  select::OnlineTuner fresh(candidates, model_timer());
   const std::size_t expected = gemm::config_index(fresh.select(shape));
   ASSERT_NE(expected, candidates.front());
   EXPECT_EQ(gemm::config_index(service.select(shape)), expected);
@@ -273,14 +271,12 @@ TEST(SelectionService, RejectsInvalidShapesBeforeTheTuner) {
 
 TEST(OnlineTunerConcurrency, QuarantineEngagesAfterConsecutiveFailures) {
   // Candidate trials all fail (rate 1 at the warm-up site): after
-  // `quarantine_threshold` sweeps every non-fallback candidate is
+  // kQuarantineThreshold sweeps every non-fallback candidate is
   // quarantined, select() serves the fallback without throwing, and the
   // quarantine list excludes the fallback.
   faults::ScopedFaultPlan install(warmup_failure_plan(1.0));
   const std::vector<std::size_t> candidates = {5, 200, 450};
-  select::TunerOptions options;
-  options.quarantine_threshold = 2;
-  select::OnlineTuner tuner(candidates, model_timer(), options);
+  select::OnlineTuner tuner(candidates, model_timer());
 
   const auto shapes = test_shapes(5);
   for (const auto& shape : shapes) {
@@ -296,10 +292,9 @@ TEST(OnlineTunerConcurrency, QuarantineEngagesAfterConsecutiveFailures) {
 }
 
 TEST(OnlineTunerConcurrency, QuarantineRecoversWhenFaultsStop) {
+  // One failed sweep, fewer than kQuarantineThreshold: no quarantine.
   const std::vector<std::size_t> candidates = {5, 200, 450};
-  select::TunerOptions options;
-  options.quarantine_threshold = 100;  // high: no quarantine in this test
-  select::OnlineTuner tuner(candidates, model_timer(), options);
+  select::OnlineTuner tuner(candidates, model_timer());
   {
     faults::ScopedFaultPlan install(warmup_failure_plan(1.0));
     (void)tuner.select({64, 64, 64});

@@ -5,6 +5,7 @@
 // immediately then replaced by refresh_provisional().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -356,9 +357,39 @@ TEST(StoreWarmStart, WarmRunServesIdenticalConfigsWithZeroSweeps) {
     EXPECT_EQ(stats.preloaded, shapes.size());
     EXPECT_EQ(stats.hits, shapes.size());
     EXPECT_EQ(timer_calls, 0u);           // no trial ran at all
-    EXPECT_EQ(tuner.cache_misses(), 0u);  // tuner pre-seeded too
+    EXPECT_EQ(tuner.cache_misses(), 0u);  // no sweep either
     EXPECT_EQ(store.flush(), 0u);         // nothing new to persist
   }
+  std::filesystem::remove(path);
+}
+
+TEST(StoreWarmStart, RetiredConfigIsRetunedNotServed) {
+  // A stored decision for a config the tuner no longer sweeps is not
+  // pre-seeded: the shape is re-tuned on its first request.
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+  const auto path = temp_path("retired.aks");
+  const auto device = perf::DeviceSpec::amd_r9_nano();
+  const gemm::GemmShape shape{64, 64, 64};
+  {
+    SelectionStore store(path);
+    EXPECT_TRUE(store.put(make_record(device.fingerprint(), shape, 7)));
+    store.flush();
+  }
+  SelectionStore store(path);
+  const std::vector<std::size_t> candidates{0, 100, 250};
+  select::OnlineTuner tuner(candidates, fake_time);
+  serve::SelectionService service(tuner);
+  EXPECT_EQ(service.warm_start(store, device), 0u);
+  EXPECT_EQ(service.stats().preloaded, 0u);
+
+  const std::size_t served = gemm::config_index(service.select(shape));
+  EXPECT_NE(std::find(candidates.begin(), candidates.end(), served),
+            candidates.end())
+      << "served retired config " << served;
+  EXPECT_EQ(tuner.cache_misses(), 1u);
+  EXPECT_EQ(service.stats().misses, 1u);
+  // The re-tuned decision replaces the retired one in the store.
+  EXPECT_EQ(store.lookup(device.fingerprint(), shape)->config_index, served);
   std::filesystem::remove(path);
 }
 

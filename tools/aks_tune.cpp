@@ -129,15 +129,17 @@ std::size_t budget_from(const Args& args) {
   return parsed;
 }
 
-data::PerfDataset dataset_from(const Args& args) {
+// Loads --dataset or builds the dataset on `device`. Callers check every
+// other option first, so a bad one never costs a dataset sweep.
+data::PerfDataset dataset_from(const Args& args,
+                               const perf::DeviceSpec& device) {
   const auto it = args.options.find("dataset");
   if (it != args.options.end()) {
     std::cerr << "loading dataset from " << it->second << "\n";
     return data::PerfDataset::load(it->second);
   }
-  std::cerr << "building dataset on " << device_from(args).name << "...\n";
-  return data::run_model_benchmarks(data::extract_all_shapes(),
-                                    device_from(args), {});
+  std::cerr << "building dataset on " << device.name << "...\n";
+  return data::run_model_benchmarks(data::extract_all_shapes(), device, {});
 }
 
 // Certificate gate for a persistent store: --certify <certify.csv> (a
@@ -275,7 +277,7 @@ int cmd_store(const Args& args) {
 
 int cmd_dataset(const Args& args) {
   AKS_CHECK(!args.positional.empty(), "usage: aks_tune dataset <out.csv>");
-  const auto dataset = dataset_from(args);
+  const auto dataset = dataset_from(args, device_from(args));
   dataset.save(args.positional[0]);
   std::cout << "wrote " << dataset.num_shapes() << " shapes x "
             << dataset.num_configs() << " configs to " << args.positional[0]
@@ -284,10 +286,12 @@ int cmd_dataset(const Args& args) {
 }
 
 int cmd_prune(const Args& args) {
-  const auto dataset = dataset_from(args);
+  const auto method = prune_method_from(args);
+  const std::size_t budget = budget_from(args);
+  const auto dataset = dataset_from(args, device_from(args));
   const auto split = dataset.split(0.8, 1);
-  const auto pruner = select::make_pruner(prune_method_from(args));
-  const auto configs = pruner->prune(split.train, budget_from(args));
+  const auto pruner = select::make_pruner(method);
+  const auto configs = pruner->prune(split.train, budget);
   std::cout << "method: " << pruner->name() << ", budget: " << configs.size()
             << ", test ceiling: "
             << 100.0 * select::pruning_ceiling(split.test, configs) << "%\n";
@@ -298,11 +302,11 @@ int cmd_prune(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  const auto dataset = dataset_from(args);
   select::PipelineOptions options;
   options.num_configs = budget_from(args);
   options.prune_method = prune_method_from(args);
   options.selector_method = selector_method_from(args);
+  const auto dataset = dataset_from(args, device_from(args));
   const auto result = select::run_pipeline(dataset, options);
 
   std::cout << "pruner " << select::to_string(options.prune_method)
@@ -373,18 +377,28 @@ int cmd_serve(const Args& args) {
       mode_it == args.options.end() ? "online" : mode_it->second;
   AKS_CHECK(mode == "online" || mode == "learned",
             "--serve-mode must be online | learned");
+  trace::TraceOptions trace_options;
+  if (const auto kb = args.options.find("trace-buffer-kb");
+      kb != args.options.end()) {
+    const std::size_t kib = common::parse_size(kb->second, "--trace-buffer-kb");
+    AKS_CHECK(kib >= 1 && kib <= SIZE_MAX / 1024,
+              "--trace-buffer-kb must be in 1.." << SIZE_MAX / 1024);
+    trace_options.buffer_bytes_per_thread = kib * 1024;
+  }
+  const auto method = prune_method_from(args);
+  const std::size_t budget = budget_from(args);
+  const auto device = device_from(args);
 
-  const auto dataset = dataset_from(args);
+  const auto dataset = dataset_from(args, device);
   const auto split = dataset.split(0.8, 1);
-  const auto pruner = select::make_pruner(prune_method_from(args));
-  const auto allowed = pruner->prune(split.train, budget_from(args));
+  const auto pruner = select::make_pruner(method);
+  const auto allowed = pruner->prune(split.train, budget);
 
   std::vector<gemm::GemmShape> corpus;
   for (const auto& lowered : data::extract_all_shapes()) {
     corpus.push_back(lowered.shape);
   }
 
-  const auto device = device_from(args);
   std::unique_ptr<store::SelectionStore> store;
   if (const auto it = args.options.find("store"); it != args.options.end()) {
     store = std::make_unique<store::SelectionStore>(
@@ -396,15 +410,6 @@ int cmd_serve(const Args& args) {
   std::unique_ptr<trace::TraceSession> trace_session;
   const auto trace_out = args.options.find("trace-out");
   if (trace_out != args.options.end()) {
-    trace::TraceOptions trace_options;
-    if (const auto kb = args.options.find("trace-buffer-kb");
-        kb != args.options.end()) {
-      const std::size_t kib =
-          common::parse_size(kb->second, "--trace-buffer-kb");
-      AKS_CHECK(kib >= 1 && kib <= SIZE_MAX / 1024,
-                "--trace-buffer-kb must be in 1.." << SIZE_MAX / 1024);
-      trace_options.buffer_bytes_per_thread = kib * 1024;
-    }
     trace_session = std::make_unique<trace::TraceSession>(trace_options);
   }
 
@@ -543,7 +548,7 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_report(const Args& args) {
-  const auto dataset = dataset_from(args);
+  const auto dataset = dataset_from(args, device_from(args));
   const auto counts = dataset.optimal_counts();
   std::size_t winners = 0;
   for (const auto c : counts) winners += c > 0 ? 1u : 0u;
